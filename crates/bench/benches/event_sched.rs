@@ -1,19 +1,17 @@
-//! Criterion bench: the event-driven scheduler vs the legacy per-tick
-//! fleet scan, on a fleet large enough that scanning dominates.
+//! Criterion bench: the event-driven scheduler on a fleet large enough
+//! that a per-tick fleet traversal would dominate.
 //!
 //! The configuration is sparse on purpose — low generation rate, long
 //! reconnect cadence — so most ticks have *no* due work. That is the
-//! regime the scheduler targets: the tick-scan pays O(fleet) twice per
-//! tick regardless, while the event queue pays O(due events). The
-//! outcomes are asserted byte-identical before timing (the same pin as
-//! `tests/session_differential.rs`, at bench scale).
+//! regime the scheduler targets: the event queue pays O(due events) per
+//! tick, not O(fleet).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use histmerge_replication::{Protocol, SchedulerMode, SimConfig, Simulation, SyncStrategy};
+use histmerge_replication::{Protocol, SimConfig, Simulation, SyncStrategy};
 use histmerge_workload::generator::ScenarioParams;
 
-fn config(scheduler: SchedulerMode) -> SimConfig {
+fn config() -> SimConfig {
     SimConfig {
         n_mobiles: 2_000,
         duration: 400,
@@ -24,9 +22,7 @@ fn config(scheduler: SchedulerMode) -> SimConfig {
         strategy: SyncStrategy::AdaptiveWindow { max_hb: 64 },
         workload: ScenarioParams { n_vars: 128, seed: 23, ..ScenarioParams::default() },
         base_capacity: 5_000.0,
-        lean_base_log: true,
         backlog_sample_every: 0,
-        scheduler,
         ..SimConfig::default()
     }
 }
@@ -34,21 +30,9 @@ fn config(scheduler: SchedulerMode) -> SimConfig {
 fn bench_event_sched(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_sched");
     group.sample_size(10);
-
-    // Sanity: the scheduler is pure mechanism.
-    let scan = Simulation::new(config(SchedulerMode::TickScan)).expect("valid config").run();
-    let queue = Simulation::new(config(SchedulerMode::EventQueue)).expect("valid config").run();
-    assert_eq!(scan.final_master, queue.final_master);
-    assert_eq!(scan.metrics.normalized(), queue.metrics.normalized());
-    assert_eq!(queue.metrics.sched.fleet_scans, 0);
-
-    for (name, scheduler) in
-        [("tick_scan", SchedulerMode::TickScan), ("event_queue", SchedulerMode::EventQueue)]
-    {
-        group.bench_function(name, |b| {
-            b.iter(|| Simulation::new(config(scheduler)).expect("valid config").run())
-        });
-    }
+    group.bench_function("event_queue", |b| {
+        b.iter(|| Simulation::new(config()).expect("valid config").run())
+    });
     group.finish();
 }
 

@@ -1,4 +1,4 @@
-//! The per-PR perf-trajectory gate over the committed `BENCH_pr10.json`.
+//! The per-PR perf-trajectory gate over the committed `BENCH_pr12.json`.
 //!
 //! Two modes:
 //!
@@ -7,20 +7,28 @@
 //!   `BENCH_compaction.json` (E20), `BENCH_storm.json` (E21) and
 //!   `BENCH_cohort.json` (E23) artifacts from `$EXPERIMENTS_DIR`
 //!   (default `target/experiments`) into one trajectory document,
-//!   written to `PATH` (default `BENCH_pr10.json`). Run from the repo
+//!   written to `PATH` (default `BENCH_pr12.json`). Run from the repo
 //!   root to refresh the committed baseline.
 //! * `bench_trajectory --check BASELINE [--out PATH]` — combine the
 //!   fresh artifacts the same way (written to `PATH` for CI upload),
-//!   then compare every **throughput metric** — a column whose name
-//!   contains `per_sec` or `speedup` — present in *both* the baseline
-//!   and the fresh document. Rows are matched by table name plus the
-//!   row's first (key) column, so a full-mode baseline gates a
-//!   smoke-mode run on the rows they share. The gate fails (exit 1) if
-//!   any fresh metric falls below `(1 - tolerance) x baseline`;
-//!   `tolerance` is 0.25, overridable via `BENCH_TRAJECTORY_TOLERANCE`.
+//!   then gate every row the baseline and the fresh document share.
+//!   Rows are matched by table name plus the row's first (key) column,
+//!   so a full-mode baseline gates a smoke-mode run on the rows they
+//!   share; a baseline row the fresh run lacks is skipped. Within a
+//!   shared row, every gated baseline column must be present in the
+//!   fresh row — a dropped column fails, so deleting a column cannot
+//!   silently drop its gate. Two kinds of column are gated:
+//!   - **throughput metrics** — a column whose name contains `per_sec`
+//!     or `speedup` — fail if the fresh value falls below
+//!     `(1 - tolerance) x baseline`; `tolerance` is 0.25, overridable via
+//!     `BENCH_TRAJECTORY_TOLERANCE`;
+//!   - **outcome counters** ([`COUNTER_COLUMNS`]) are deterministic
+//!     functions of the experiment's configuration and fail on any
+//!     difference — except in [`TIMING_SELECTED_TABLES`], whose rows
+//!     report a run chosen by wall time.
 //!
 //! Absolute `per_sec` numbers shift with the hardware profile, which is
-//! why the band is wide and one-sided (only regressions fail, speedups
+//! why that band is wide and one-sided (only regressions fail, speedups
 //! never do) and why the baseline should be refreshed from the CI
 //! artifact after a runner-profile change — see README.
 
@@ -29,6 +37,49 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use histmerge_bench::json::{metric_number, parse, JsonVal};
+
+/// Columns gated exactly: outcome counters that depend only on an
+/// experiment's configuration. `wave_rounds` and `fastpath` are
+/// mechanism counters, host-independent because E23 (the only
+/// experiment emitting them) pins its worker count.
+const COUNTER_COLUMNS: [&str; 11] = [
+    "syncs",
+    "saved",
+    "reprocessed",
+    "commits",
+    "save_ratio",
+    "shed",
+    "drained",
+    "defer_peak",
+    "batch_max",
+    "wave_rounds",
+    "fastpath",
+];
+
+/// Tables whose rows report the counters of a run picked by wall time
+/// (E19's `scale` row is the slowest of three workload seeds), so their
+/// counters depend on the host; only their throughput columns are gated.
+const TIMING_SELECTED_TABLES: [&str; 1] = ["BENCH_scale/scale"];
+
+/// How a gated column is compared.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Gate {
+    /// One-sided: fresh must stay above `(1 - tolerance) x baseline`.
+    Throughput,
+    /// Fresh must equal the baseline.
+    Exact,
+}
+
+/// The gate of `column` in `table` (`artifact/table`), if any.
+fn gate_of(table: &str, column: &str) -> Option<Gate> {
+    if column.contains("per_sec") || column.contains("speedup") {
+        Some(Gate::Throughput)
+    } else if COUNTER_COLUMNS.contains(&column) && !TIMING_SELECTED_TABLES.contains(&table) {
+        Some(Gate::Exact)
+    } else {
+        None
+    }
+}
 
 /// The artifacts a trajectory document combines, in document order.
 const ARTIFACTS: [&str; 5] =
@@ -64,16 +115,18 @@ fn combine() -> Result<String, String> {
     Ok(format!("{{\"bench\":\"trajectory\",\"artifacts\":{{{}}}}}", entries.join(",")))
 }
 
-/// Flattens a trajectory document into its throughput metrics:
-/// `artifact/table[row-key].column -> value` for every column whose name
-/// contains `per_sec` or `speedup`. The row key is the row's first
-/// column (artifact rows always lead with one — fleet size, mobile
-/// count), which keeps the mapping stable when a smoke run emits a
-/// subset of the baseline's rows.
-fn throughput_metrics(doc: &JsonVal) -> BTreeMap<String, f64> {
-    let mut metrics = BTreeMap::new();
+/// One row's gated columns: column name -> (gate, value).
+type Row = BTreeMap<String, (Gate, f64)>;
+
+/// Flattens a trajectory document into its gated rows:
+/// `artifact/table[row-key] -> {column -> (gate, value)}` for every
+/// column with a [`Gate`]. The row key is the row's first column (artifact rows always
+/// lead with one — fleet size, mobile count), which keeps the mapping
+/// stable when a smoke run emits a subset of the baseline's rows.
+fn gated_rows(doc: &JsonVal) -> BTreeMap<String, Row> {
+    let mut rows_out = BTreeMap::new();
     let Some(artifacts) = doc.get("artifacts").and_then(JsonVal::as_obj) else {
-        return metrics;
+        return rows_out;
     };
     for (artifact, body) in artifacts {
         let Some(tables) = body.get("tables").and_then(JsonVal::as_obj) else { continue };
@@ -82,18 +135,19 @@ fn throughput_metrics(doc: &JsonVal) -> BTreeMap<String, f64> {
                 let Some(members) = row.as_obj() else { continue };
                 let Some((key_col, key_val)) = members.first() else { continue };
                 let row_key = format!("{key_col}={}", key_val.as_str().unwrap_or("?"));
-                for (column, value) in members {
-                    if !column.contains("per_sec") && !column.contains("speedup") {
-                        continue;
-                    }
-                    if let Some(v) = value.as_str().and_then(metric_number) {
-                        metrics.insert(format!("{artifact}/{table}[{row_key}].{column}"), v);
-                    }
-                }
+                let table = format!("{artifact}/{table}");
+                let gated: Row = members
+                    .iter()
+                    .filter_map(|(column, value)| {
+                        let gate = gate_of(&table, column)?;
+                        Some((column.clone(), (gate, value.as_str().and_then(metric_number)?)))
+                    })
+                    .collect();
+                rows_out.insert(format!("{table}[{row_key}]"), gated);
             }
         }
     }
-    metrics
+    rows_out
 }
 
 fn tolerance() -> f64 {
@@ -107,33 +161,46 @@ fn tolerance() -> f64 {
 /// Gates `fresh` against `baseline`. Returns the number of failures.
 fn check(baseline: &JsonVal, fresh: &JsonVal) -> usize {
     let tolerance = tolerance();
-    let base = throughput_metrics(baseline);
-    let new = throughput_metrics(fresh);
+    let base = gated_rows(baseline);
+    let new = gated_rows(fresh);
     let floor = 1.0 - tolerance;
     let mut failures = 0;
     let mut compared = 0;
-    println!("trajectory gate: fresh >= {floor:.2} x baseline on shared throughput metrics\n");
-    for (name, &b) in &base {
-        let Some(&f) = new.get(name) else {
-            println!("  skip  {name} (not in fresh run)");
+    println!(
+        "trajectory gate: fresh >= {floor:.2} x baseline on throughput metrics, \
+         fresh == baseline on outcome counters\n"
+    );
+    for (row, base_cols) in &base {
+        let Some(new_cols) = new.get(row) else {
+            println!("  skip  {row} (row not in fresh run)");
             continue;
         };
-        compared += 1;
-        let ratio = if b > 0.0 { f / b } else { 1.0 };
-        let ok = f >= floor * b;
-        if !ok {
-            failures += 1;
+        for (column, &(gate, b)) in base_cols {
+            let name = format!("{row}.{column}");
+            let Some(&(_, f)) = new_cols.get(column) else {
+                failures += 1;
+                println!("  FAIL  {name}: baseline {b}, missing from the fresh row");
+                continue;
+            };
+            compared += 1;
+            let (ok, detail) = match gate {
+                Gate::Exact => (f == b, format!("baseline {b}, fresh {f} (exact)")),
+                Gate::Throughput => {
+                    let ratio = if b > 0.0 { f / b } else { 1.0 };
+                    (f >= floor * b, format!("baseline {b:.1}, fresh {f:.1} ({ratio:.2}x)"))
+                }
+            };
+            if !ok {
+                failures += 1;
+            }
+            println!("  {}  {name}: {detail}", if ok { "ok  " } else { "FAIL" });
         }
-        println!(
-            "  {}  {name}: baseline {b:.1}, fresh {f:.1} ({ratio:.2}x)",
-            if ok { "ok  " } else { "FAIL" }
-        );
     }
-    for name in new.keys().filter(|n| !base.contains_key(*n)) {
-        println!("  new   {name} (no baseline yet)");
+    for row in new.keys().filter(|r| !base.contains_key(*r)) {
+        println!("  new   {row} (no baseline yet)");
     }
     println!(
-        "\n{compared} metric(s) compared, {failures} regression(s) beyond the {:.0}% band",
+        "\n{compared} metric(s) compared, {failures} failure(s) (throughput band {:.0}%)",
         tolerance * 100.0
     );
     failures
@@ -143,7 +210,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = None;
     let mut baseline_path = None;
-    let mut out = PathBuf::from("BENCH_pr10.json");
+    let mut out = PathBuf::from("BENCH_pr12.json");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -218,25 +285,40 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn doc(scale_rows: &str) -> JsonVal {
+    fn table_doc(table: &str, rows: &str) -> JsonVal {
         parse(&format!(
             "{{\"bench\":\"trajectory\",\"artifacts\":{{\
              \"BENCH_scale\":{{\"experiment\":\"exp_scale\",\"tables\":{{\
-             \"scale\":[{scale_rows}]}}}}}}}}"
+             \"{table}\":[{rows}]}}}}}}}}"
         ))
         .unwrap()
+    }
+
+    fn doc(rows: &str) -> JsonVal {
+        table_doc("merge_regime", rows)
     }
 
     fn row(fleet: &str, mps: &str) -> String {
         format!("{{\"fleet\":\"{fleet}\",\"merges_per_sec\":\"{mps}\",\"wall_ms\":\"9\"}}")
     }
 
+    fn counter_row(fleet: &str, mps: &str, syncs: &str) -> String {
+        format!(
+            "{{\"fleet\":\"{fleet}\",\"syncs\":\"{syncs}\",\"merges_per_sec\":\"{mps}\",\
+             \"wall_ms\":\"9\"}}"
+        )
+    }
+
     #[test]
-    fn extracts_only_throughput_columns_keyed_by_first_column() {
-        let metrics = throughput_metrics(&doc(&row("10000", "123.4")));
+    fn extracts_only_gated_columns_keyed_by_first_column() {
+        let rows = gated_rows(&doc(&counter_row("10000", "123.4", "7")));
+        let expected: Row = BTreeMap::from([
+            ("merges_per_sec".to_string(), (Gate::Throughput, 123.4)),
+            ("syncs".to_string(), (Gate::Exact, 7.0)),
+        ]);
         assert_eq!(
-            metrics,
-            BTreeMap::from([("BENCH_scale/scale[fleet=10000].merges_per_sec".to_string(), 123.4)])
+            rows,
+            BTreeMap::from([("BENCH_scale/merge_regime[fleet=10000]".to_string(), expected)])
         );
     }
 
@@ -250,5 +332,31 @@ mod tests {
         assert_eq!(check(&baseline, &doc(&row("10000", "74"))), 1);
         // Speedups never fail the gate.
         assert_eq!(check(&baseline, &doc(&row("10000", "500"))), 0);
+    }
+
+    #[test]
+    fn a_column_dropped_from_a_shared_row_fails() {
+        let baseline = doc(&counter_row("10000", "100", "7"));
+        // The fresh row lost its throughput column: a failure, not a skip.
+        let fresh = doc("{\"fleet\":\"10000\",\"syncs\":\"7\",\"wall_ms\":\"9\"}");
+        assert_eq!(check(&baseline, &fresh), 1);
+        // Same for a dropped counter column.
+        assert_eq!(check(&baseline, &doc(&row("10000", "100"))), 1);
+    }
+
+    #[test]
+    fn outcome_counters_are_gated_exactly() {
+        let baseline = doc(&counter_row("10000", "100", "7"));
+        assert_eq!(check(&baseline, &doc(&counter_row("10000", "100", "7"))), 0);
+        // Any drift fails, up or down; the throughput band does not apply.
+        assert_eq!(check(&baseline, &doc(&counter_row("10000", "100", "6"))), 1);
+        assert_eq!(check(&baseline, &doc(&counter_row("10000", "100", "8"))), 1);
+    }
+
+    #[test]
+    fn timing_selected_tables_gate_only_throughput() {
+        let baseline = table_doc("scale", &counter_row("10000", "100", "7"));
+        assert_eq!(check(&baseline, &table_doc("scale", &counter_row("10000", "100", "8"))), 0);
+        assert_eq!(check(&baseline, &table_doc("scale", &counter_row("10000", "70", "7"))), 1);
     }
 }

@@ -40,7 +40,7 @@
 
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
 use histmerge_replication::{
-    Parallelism, Protocol, SchedulerMode, SimConfig, SimReport, Simulation, SyncStrategy,
+    Parallelism, Protocol, SimConfig, SimReport, Simulation, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -97,8 +97,6 @@ fn scale_config(fleet: usize, seed: u64) -> SimConfig {
         strategy: SyncStrategy::AdaptiveWindow { max_hb: 64 },
         workload: workload_seeded(seed),
         base_capacity: 10_000.0,
-        scheduler: SchedulerMode::EventQueue,
-        lean_base_log: true,
         backlog_sample_every: 0,
         ..SimConfig::default()
     }
@@ -121,8 +119,6 @@ fn merge_config(fleet: usize) -> SimConfig {
         base_capacity: 10_000.0,
         parallelism: Parallelism::Auto,
         synchronized_reconnects: true,
-        scheduler: SchedulerMode::EventQueue,
-        lean_base_log: true,
         backlog_sample_every: 0,
         ..SimConfig::default()
     }
@@ -207,7 +203,6 @@ fn main() {
                     "seed {seed}: generation burst never fired"
                 );
                 assert!(m.syncs > 0, "seed {seed}: no mobile ever synced pending work");
-                assert_eq!(m.sched.fleet_scans, 0, "seed {seed}: event mode scanned the fleet");
                 reports[i].get_or_insert(report);
             }
         }

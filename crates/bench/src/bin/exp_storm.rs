@@ -43,8 +43,8 @@
 
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
 use histmerge_replication::{
-    AdmissionConfig, ConnectivityModel, Protocol, RetryBackoff, SchedulerMode, SimConfig,
-    SimReport, Simulation, SyncPath, SyncStrategy,
+    AdmissionConfig, ConnectivityModel, Protocol, RetryBackoff, SimConfig, SimReport, Simulation,
+    SyncPath, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -73,7 +73,6 @@ fn config(fleet: usize, outage: u64, admission: AdmissionConfig) -> SimConfig {
         },
         base_capacity: 10_000.0,
         sync_path: SyncPath::Session,
-        scheduler: SchedulerMode::EventQueue,
         backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: STORM_START,

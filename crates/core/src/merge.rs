@@ -136,8 +136,12 @@ impl MergeOutcome {
 /// skip redundant work when merging repeatedly against a growing base
 /// history (the batched sync path).
 ///
-/// Both fields are optional; an empty assist makes `merge_assisted`
-/// behave exactly like [`Merger::merge`].
+/// Every field is optional; an empty assist makes `merge_assisted`
+/// behave exactly like [`Merger::merge`]. When `base_edges` covers all of
+/// `hb`, the merge also takes the conflict-free fast path whenever the
+/// pending history's footprint union is disjoint from the cached base
+/// slice's: precedence-graph and closure construction are skipped, with
+/// an identical outcome.
 #[derive(Default, Clone, Copy)]
 pub struct MergeAssist<'a> {
     /// Incrementally maintained rule-2 edges of the epoch's base history.
@@ -147,13 +151,6 @@ pub struct MergeAssist<'a> {
     /// hold this (it is the current master), so re-executing the whole
     /// epoch log per merge is pure waste.
     pub hb_final: Option<&'a DbState>,
-    /// Allow the conflict-free fast path: when the pending history's
-    /// footprint union is disjoint from the cached base slice's footprint
-    /// union (`base_edges` must cover *all* of `hb`), skip precedence-graph
-    /// and closure construction entirely. Pure mechanism — the outcome is
-    /// byte-identical; the flag exists so legacy-comparison runs can hold
-    /// the old code path.
-    pub fastpath: bool,
     /// Skip materializing [`MergeOutcome::merged_history`] on the slow
     /// path. The witness topological sort is O(|H_b ∪ H_m|²) with the
     /// deterministic base-first tie-break, and the replication install
@@ -175,7 +172,7 @@ pub struct MergeAssist<'a> {
 ///
 /// Reuse is observation-free: a merge through a used scratch is
 /// byte-identical to one through [`MergeScratch::new`] (the
-/// `session_differential` suite pins this).
+/// `scratch_reuse_matches_fresh_merges` unit test pins this).
 #[derive(Default)]
 pub struct MergeScratch {
     /// Flat id→node map reused by [`PrecedenceGraph::build_with_scratch`].
@@ -318,25 +315,22 @@ impl Merger {
         };
         tracer.span_end(Phase::Exec, span);
 
-        // Conflict-free fast-path gate: when the caller allows it and the
-        // epoch edge cache covers ALL of `hb` (its footprint union is only
-        // meaningful at full length), a pending history disjoint from the
-        // whole concurrent base slice draws no rule-3 edge against any
-        // prefix. Both sub-histories are then forward-edge DAGs, so the
+        // Conflict-free fast-path gate: when the epoch edge cache covers
+        // ALL of `hb` (its footprint union is only meaningful at full
+        // length), a pending history disjoint from the whole concurrent
+        // base slice draws no rule-3 edge against any prefix. Both sub-histories are then forward-edge DAGs, so the
         // graph is acyclic, every back-out strategy returns ∅, and the
         // entire graph/closure machinery can be skipped — O(words) gate,
         // O(m²) rule-1 pair count, byte-identical outcome.
-        let fast_path = assist.fastpath
-            && assist.base_edges.is_some_and(|cache| cache.len() == hb.len())
-            && {
-                let mut hm_bits = DenseBits::new();
-                for id in hm.iter() {
-                    hm_bits.union_with(arena.read_bits(id));
-                    hm_bits.union_with(arena.write_bits(id));
-                }
-                let cache = assist.base_edges.expect("gated above");
-                !hm_bits.intersects(cache.footprint_bits())
-            };
+        let fast_path = assist.base_edges.is_some_and(|cache| cache.len() == hb.len()) && {
+            let mut hm_bits = DenseBits::new();
+            for id in hm.iter() {
+                hm_bits.union_with(arena.read_bits(id));
+                hm_bits.union_with(arena.write_bits(id));
+            }
+            let cache = assist.base_edges.expect("gated above");
+            !hm_bits.intersects(cache.footprint_bits())
+        };
 
         // Step 1: the precedence graph. On the fast path the graph is
         // never materialized — only its exact edge count is derived (rule-1
@@ -361,8 +355,7 @@ impl Merger {
             Some(graph) => graph.edges().len(),
             None => {
                 let hm_order: Vec<TxnId> = hm.iter().collect();
-                let mut edges =
-                    assist.base_edges.map_or(0, |cache| cache.edge_count(hb.len()));
+                let mut edges = assist.base_edges.map_or(0, |cache| cache.edge_count(hb.len()));
                 for (i, &ti) in hm_order.iter().enumerate() {
                     for &tj in &hm_order[i + 1..] {
                         if arena.conflicts(ti, tj) {

@@ -25,12 +25,12 @@ pub struct BaseNode {
     epoch_start: usize,
     epoch_state: DbState,
     /// When `true`, commits record only transaction ids in the log — the
-    /// per-commit after states stay empty. Scale mode: a million-mobile
-    /// run cannot afford one full-state clone per commit, and nothing in
-    /// the Strategy-2 window protocol reads them (merges need ids and the
+    /// per-commit after states stay empty. A large or long run cannot
+    /// afford one full-state clone per commit, and nothing in the
+    /// Strategy-2 window protocol reads them (merges need ids and the
     /// window-start state only). Incompatible with durability (WAL
     /// snapshots ship after states) and Strategy-1 retro-patching (which
-    /// edits them); [`Simulation::new`] rejects those combinations.
+    /// edits them), so [`Simulation::new`] logs lean everywhere else.
     ///
     /// [`Simulation::new`]: crate::Simulation::new
     lean: bool,

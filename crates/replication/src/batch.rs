@@ -77,7 +77,11 @@ pub struct BatchJob {
 ///
 /// The per-job computation is identical to
 /// [`Merger::merge_assisted`] on one thread; parallelism changes only
-/// wall-clock time, never results.
+/// wall-clock time, never results. Each merge may take the conflict-free
+/// fast path and defers its Theorem-1 witness history
+/// ([`MergeAssist::defer_witness`]): the install pipeline never reads it,
+/// and its topological sort is the dominant super-linear term at cohort
+/// scale.
 #[allow(clippy::too_many_arguments)]
 pub fn merge_batch(
     arena: &TxnArena,
@@ -88,17 +92,9 @@ pub fn merge_batch(
     cache: &BaseEdgeCache,
     make_merger: &(dyn Fn() -> Merger + Sync),
     workers: usize,
-    fastpath: bool,
 ) -> Vec<Result<MergeOutcome, CoreError>> {
-    // The fast-path knob also defers the slow path's witness history:
-    // the install pipeline never reads it, and its topological sort is
-    // the dominant super-linear term at cohort scale.
-    let assist = MergeAssist {
-        base_edges: Some(cache),
-        hb_final: Some(hb_final),
-        fastpath,
-        defer_witness: fastpath,
-    };
+    let assist =
+        MergeAssist { base_edges: Some(cache), hb_final: Some(hb_final), defer_witness: true };
     if workers <= 1 || jobs.len() <= 1 {
         let merger = make_merger();
         let mut scratch = MergeScratch::new();
@@ -240,10 +236,8 @@ mod tests {
         let jobs: Vec<BatchJob> =
             (0..4).map(|mobile| BatchJob { mobile, hm: ex.hm.clone() }).collect();
         let make = || Merger::new(MergeConfig::default());
-        let serial =
-            merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 1, false);
-        let parallel =
-            merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 4, false);
+        let serial = merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 1);
+        let parallel = merge_batch(&ex.arena, &jobs, &ex.hb, &ex.s0, &hb_final, &cache, &make, 4);
         assert_eq!(serial.len(), 4);
         assert_eq!(parallel.len(), 4);
         for (s, p) in serial.iter().zip(parallel.iter()) {
@@ -257,11 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_batch_matches_slow_batch() {
-        // A pending history disjoint from the whole base slice: the
-        // fastpath run must produce a byte-identical outcome while
-        // reporting `fast_path` on every member; a conflicting history
-        // must refuse the fast path.
+    fn batch_fastpath_matches_unassisted_merges() {
+        // A pending history disjoint from the whole base slice takes the
+        // fast path with an outcome identical to a plain merge's; a
+        // conflicting history must refuse the fast path.
         let mut arena = TxnArena::new();
         let b0 = rw_txn(&mut arena, "b0", TxnKind::Base, &[0], &[1]);
         let b1 = rw_txn(&mut arena, "b1", TxnKind::Base, &[1], &[2]);
@@ -277,10 +270,11 @@ mod tests {
             BatchJob { mobile: 1, hm: SerialHistory::from_order([touching]) },
         ];
         let make = || Merger::new(MergeConfig::default());
-        let slow = merge_batch(&arena, &jobs, &hb, &s0, &hb_final, &cache, &make, 1, false);
-        let fast = merge_batch(&arena, &jobs, &hb, &s0, &hb_final, &cache, &make, 1, true);
+        let slow: Vec<MergeOutcome> =
+            jobs.iter().map(|j| make().merge(&arena, &j.hm, &hb, &s0).unwrap()).collect();
+        let fast = merge_batch(&arena, &jobs, &hb, &s0, &hb_final, &cache, &make, 1);
         for (s, f) in slow.iter().zip(fast.iter()) {
-            let (s, f) = (s.as_ref().unwrap(), f.as_ref().unwrap());
+            let f = f.as_ref().unwrap();
             assert_eq!(s.saved, f.saved);
             assert_eq!(s.backed_out, f.backed_out);
             assert_eq!(s.forwarded, f.forwarded);
@@ -289,10 +283,10 @@ mod tests {
             assert!(!s.fast_path);
         }
         // The fast-path member's cheap concatenation witness equals the
-        // slow path's topological sort; the slow-path member under the
-        // fastpath knob defers its witness instead of sorting.
-        assert_eq!(slow[0].as_ref().unwrap().merged_history, fast[0].as_ref().unwrap().merged_history);
-        assert!(slow[1].as_ref().unwrap().merged_history.is_some());
+        // slow path's topological sort; the batch's slow-path member
+        // defers its witness instead of sorting.
+        assert_eq!(slow[0].merged_history, fast[0].as_ref().unwrap().merged_history);
+        assert!(slow[1].merged_history.is_some());
         assert!(fast[1].as_ref().unwrap().merged_history.is_none());
         assert!(fast[0].as_ref().unwrap().fast_path, "disjoint member takes the fast path");
         assert!(!fast[1].as_ref().unwrap().fast_path, "conflicting member keeps the slow path");

@@ -15,7 +15,7 @@
 //!   reconnection tick forward to the next tick the mobile's link is up.
 //!   [`ConnectivityModel::AlwaysOn`] is the identity, so the default
 //!   configuration reproduces today's jittered cadence byte-for-byte
-//!   (pinned by the eighth `session_differential` run);
+//!   (pinned by the connectivity `session_differential` run);
 //! * **trace-conditioned faults** — [`LinkTrace::fault_scale`] multiplies
 //!   the configured fault rates during handoff windows and post-outage
 //!   surges, turning the i.i.d. per-message fault model into correlated
