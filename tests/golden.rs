@@ -18,9 +18,11 @@
 //! Scenarios: every `session_differential` scenario under both sync
 //! paths, the `cohort_differential` shapes (protocol x strategy x cohort
 //! size, plus its session-path and mechanism-engagement shapes and its
-//! fault row) at fixed seeds, and the `fault_property` fault-matrix and
-//! storm rows at their default debug seeds. Every scenario pins its worker
-//! count, so the speculative counters do not depend on the host's CPUs.
+//! fault row) at fixed seeds, the `fault_property` fault-matrix and
+//! storm rows at their default debug seeds, and the `crash_recovery`
+//! crash-matrix runs (window-start clean and faulted, per-disconnect) at
+//! seeds 0-1. Every scenario pins its worker count, so the speculative
+//! counters do not depend on the host's CPUs.
 //!
 //! The digests were recorded while the simulator still carried four
 //! mechanism knobs whose arms had to produce identical output (a per-tick
@@ -258,6 +260,35 @@ fn fault_scenario(seed: u64, strategy: SyncStrategy, fault: FaultPlan) -> SimCon
     }
 }
 
+/// The `crash_recovery` shape: the durable session run the crash-point
+/// matrix tortures. Durability is left off here; [`digest`]'s twin run
+/// turns it on with the matrix's checkpoint interval.
+fn crash_scenario(seed: u64, strategy: SyncStrategy, fault: FaultPlan) -> SimConfig {
+    SimConfig {
+        n_mobiles: 3,
+        duration: 120,
+        base_rate: 0.3,
+        mobile_rate: 0.25,
+        connect_every: 30,
+        protocol: Protocol::merging_default(),
+        strategy,
+        workload: ScenarioParams {
+            n_vars: 32,
+            commutative_fraction: 0.4,
+            guarded_fraction: 0.2,
+            read_only_fraction: 0.1,
+            hot_fraction: 0.1,
+            hot_prob: 0.5,
+            seed,
+            ..ScenarioParams::default()
+        },
+        base_capacity: 120.0,
+        sync_path: SyncPath::Session,
+        fault,
+        ..SimConfig::default()
+    }
+}
+
 fn protocols() -> [Protocol; 2] {
     [Protocol::Reprocessing, Protocol::merging_default()]
 }
@@ -395,6 +426,26 @@ fn scenarios() -> Vec<(String, SimConfig)> {
                 out.push((format!("storm/{}/{}/seed{seed}", kind.name(), strategy.name()), c));
             }
         }
+    }
+
+    // crash_recovery: the crash-point matrix runs.
+    for seed in 0..2u64 {
+        let window = SyncStrategy::WindowStart { window: 80 };
+        for (fault, kind) in [
+            (FaultPlan::none(), "fault-free"),
+            (FaultPlan::seeded(seed, FaultRates::uniform(0.15)), "faulted"),
+        ] {
+            out.push((
+                format!("crash-matrix/window-start/{kind}/seed{seed}"),
+                crash_scenario(seed, window, fault),
+            ));
+        }
+    }
+    for seed in 0..2u64 {
+        out.push((
+            format!("crash-matrix/per-disconnect/seed{seed}"),
+            crash_scenario(seed, SyncStrategy::PerDisconnectSnapshot, FaultPlan::none()),
+        ));
     }
 
     for (_, config) in &mut out {

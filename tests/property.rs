@@ -5,14 +5,14 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use histmerge::core::merge::{MergeConfig, Merger};
+use histmerge::core::merge::{MergeAssist, MergeConfig, Merger};
 use histmerge::core::prune::{undo, PruneMethod};
 use histmerge::core::rewrite::{rewrite, FixMode, RewriteAlgorithm};
 use histmerge::history::backout::affected_weight;
 use histmerge::history::readsfrom::affected_set;
 use histmerge::history::{
-    AugmentedHistory, BackoutStrategy, ExactMinimum, GreedyScc, PrecedenceGraph, SerialHistory,
-    TwoCycleOptimal, TxnArena,
+    AugmentedHistory, BackoutStrategy, BaseEdgeCache, ExactMinimum, GreedyScc, PrecedenceGraph,
+    SerialHistory, TwoCycleOptimal, TxnArena,
 };
 use histmerge::semantics::{satisfies_property1, RandomizedTester, SemanticOracle, StaticAnalyzer};
 use histmerge::txn::{TxnKind, VarSet};
@@ -46,8 +46,100 @@ fn arb_params() -> impl Strategy<Value = ScenarioParams> {
         })
 }
 
+/// Merge shapes like the simulator's: a few tentative transactions
+/// against a base history several times longer.
+fn arb_cone_params() -> impl Strategy<Value = ScenarioParams> {
+    (
+        0u64..5000, // seed
+        8u32..48,   // n_vars
+        1usize..9,  // n_tentative
+        0usize..48, // n_base
+        0.0f64..1.0,
+        0.1f64..0.9,
+    )
+        .prop_map(|(seed, n_vars, n_tentative, n_base, cf, hot_prob)| ScenarioParams {
+            n_vars,
+            n_tentative,
+            n_base,
+            commutative_fraction: cf,
+            guarded_fraction: 0.2 * (1.0 - cf),
+            read_only_fraction: 0.1 * (1.0 - cf),
+            hot_fraction: 0.2,
+            hot_prob,
+            reads_per_txn: 2,
+            writes_per_txn: 2,
+            seed,
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A graph built from a base-edge cache (over a prefix of the cached
+    /// base history) computes the same back-out set as the from-scratch
+    /// graph under every strategy and weight, reports the full graph's
+    /// edge count, and keeps its nodes in the full graph's order; the
+    /// assisted merge matches the plain merge on every outcome field
+    /// except the witness history and the fast-path flag (a plain merge
+    /// has no cache, so it never takes the fast path).
+    #[test]
+    fn cached_graph_backs_out_like_the_full_graph(
+        params in arb_cone_params(),
+        cut in 0usize..48,
+    ) {
+        let sc = generate(&params);
+        let hb: SerialHistory = sc.hb.iter().take(cut).collect();
+        let mut cache = BaseEdgeCache::new();
+        cache.sync(&sc.arena, &sc.hb);
+        let full = PrecedenceGraph::build(&sc.arena, &sc.hm, &hb);
+        let cached = PrecedenceGraph::build_with_base_cache(&sc.arena, &sc.hm, &hb, &cache);
+
+        prop_assert_eq!(cached.edges().len(), full.edges().len());
+        let mut rest = full.nodes().iter();
+        for id in cached.nodes() {
+            prop_assert!(rest.any(|n| n == id), "cached node {} out of full-graph order", id);
+        }
+
+        let closure = affected_weight(&sc.arena, &sc.hm);
+        let unit = |_t| 1u64;
+        let weights: [&dyn Fn(histmerge::txn::TxnId) -> u64; 2] = [&closure, &unit];
+        let strategies: Vec<Box<dyn BackoutStrategy>> = vec![
+            Box::new(ExactMinimum::new()),
+            Box::new(TwoCycleOptimal::new()),
+            Box::new(GreedyScc::new()),
+        ];
+        for s in &strategies {
+            for weight in weights {
+                prop_assert_eq!(
+                    s.compute(&cached, weight).unwrap(),
+                    s.compute(&full, weight).unwrap(),
+                    "{}",
+                    s.name()
+                );
+            }
+        }
+
+        let merger = Merger::new(MergeConfig::default());
+        let plain = merger.merge(&sc.arena, &sc.hm, &hb, &sc.s0).unwrap();
+        let hb_final = AugmentedHistory::execute(&sc.arena, &hb, &sc.s0).unwrap();
+        let assist = MergeAssist {
+            base_edges: Some(&cache),
+            hb_final: Some(hb_final.final_state()),
+            ..MergeAssist::default()
+        };
+        let assisted = merger.merge_assisted(&sc.arena, &sc.hm, &hb, &sc.s0, assist).unwrap();
+        prop_assert_eq!(&plain.bad, &assisted.bad);
+        prop_assert_eq!(&plain.affected, &assisted.affected);
+        prop_assert_eq!(plain.rewritten.entries(), assisted.rewritten.entries());
+        prop_assert_eq!(plain.rewritten.prefix_len(), assisted.rewritten.prefix_len());
+        prop_assert_eq!(&plain.saved, &assisted.saved);
+        prop_assert_eq!(&plain.backed_out, &assisted.backed_out);
+        prop_assert_eq!(&plain.repaired_state, &assisted.repaired_state);
+        prop_assert_eq!(&plain.forwarded, &assisted.forwarded);
+        prop_assert_eq!(&plain.new_master, &assisted.new_master);
+        prop_assert_eq!(&plain.reexecuted, &assisted.reexecuted);
+        prop_assert_eq!(plain.graph_edges, assisted.graph_edges);
+    }
 
     /// The full merge pipeline upholds its central invariant on arbitrary
     /// workloads: the new master state equals replaying the merged
