@@ -81,9 +81,9 @@ pub struct MergeOutcome {
     pub reexecuted: Vec<(TxnId, bool)>,
     /// An equivalent merged serial history over the base transactions and
     /// the saved tentative transactions (Theorem 1), for inspection.
-    /// `None` when the caller deferred witness materialization
-    /// ([`MergeAssist::defer_witness`]) — the install path derives the new
-    /// master without it.
+    /// `None` after a slow-path merge lent a base-edge cache
+    /// ([`MergeAssist::base_edges`]): its graph is only the conflict cone,
+    /// and the install path derives the new master without the witness.
     pub merged_history: Option<SerialHistory>,
     /// Number of edges in the full precedence graph `G(H_m, H_b)` (cost
     /// accounting input). Exact even on the fast path: rule-1 pairs are
@@ -137,11 +137,13 @@ impl MergeOutcome {
 /// history (the batched sync path).
 ///
 /// Every field is optional; an empty assist makes `merge_assisted`
-/// behave exactly like [`Merger::merge`]. When `base_edges` covers all of
-/// `hb`, the merge also takes the conflict-free fast path whenever the
-/// pending history's footprint union is disjoint from the cached base
-/// slice's: precedence-graph and closure construction are skipped, with
-/// an identical outcome.
+/// behave exactly like [`Merger::merge`]. With `base_edges` the merge
+/// builds only the conflict cone of the precedence graph (same back-out
+/// set, no Theorem-1 witness). When `base_edges` covers all of `hb`, the
+/// merge also takes the conflict-free fast path whenever the pending
+/// history's footprint union is disjoint from the cached base slice's:
+/// precedence-graph and closure construction are skipped, with an
+/// identical outcome.
 #[derive(Default, Clone, Copy)]
 pub struct MergeAssist<'a> {
     /// Incrementally maintained rule-2 edges of the epoch's base history.
@@ -151,15 +153,6 @@ pub struct MergeAssist<'a> {
     /// hold this (it is the current master), so re-executing the whole
     /// epoch log per merge is pure waste.
     pub hb_final: Option<&'a DbState>,
-    /// Skip materializing [`MergeOutcome::merged_history`] on the slow
-    /// path. The witness topological sort is O(|H_b ∪ H_m|²) with the
-    /// deterministic base-first tie-break, and the replication install
-    /// path never reads it (the new master is derived from `hb_final`
-    /// plus the forwarded updates) — per-cohort it is the dominant
-    /// super-linear term. Callers that assert Theorem 1's witness (tests,
-    /// the worked example) leave this off. The fast path still emits its
-    /// witness: there it is a cheap concatenation.
-    pub defer_witness: bool,
 }
 
 /// Reusable working memory for repeated merges (the zero-realloc hot
@@ -332,10 +325,13 @@ impl Merger {
             !hm_bits.intersects(cache.footprint_bits())
         };
 
-        // Step 1: the precedence graph. On the fast path the graph is
-        // never materialized — only its exact edge count is derived (rule-1
-        // pairs counted directly, rule-2 read from the cache, rule-3 zero
-        // by disjointness), because `graph_edges` feeds the cost model.
+        // Step 1: the precedence graph. With a base-edge cache only its
+        // conflict cone is built (the base transactions that can close a
+        // cycle; same back-out set, full edge count). On the fast path the
+        // graph is never materialized — only its exact edge count is
+        // derived (rule-1 pairs counted directly, rule-2 read from the
+        // cache, rule-3 zero by disjointness), because `graph_edges` feeds
+        // the cost model.
         let span = tracer.span_start();
         let graph = if fast_path {
             None
@@ -352,7 +348,7 @@ impl Merger {
             })
         };
         let graph_edges = match &graph {
-            Some(graph) => graph.edges().len(),
+            Some(graph) => graph.edge_count(),
             None => {
                 let hm_order: Vec<TxnId> = hm.iter().collect();
                 let mut edges = assist.base_edges.map_or(0, |cache| cache.edge_count(hb.len()));
@@ -462,9 +458,10 @@ impl Merger {
         // with no cross edges, Kahn's tie-break (base kind first, then
         // node index) emits exactly `hb` in order followed by `hm` in
         // order — the same history the slow path's topological sort
-        // produces on a disjoint graph.
+        // produces on a disjoint graph. A conflict-cone graph has no
+        // witness.
         let merged_history = match &graph {
-            Some(_) if assist.defer_witness => None,
+            Some(graph) if graph.is_cone() => None,
             Some(graph) => graph.merged_history_without(&removed),
             None => Some(SerialHistory::from_order(hb.iter().chain(hm.iter()))),
         };
@@ -597,11 +594,7 @@ mod tests {
         cache.sync(&ex.arena, &ex.hb);
         let hb_final =
             AugmentedHistory::execute(&ex.arena, &ex.hb, &ex.s0).unwrap().final_state().clone();
-        let assist = MergeAssist {
-            base_edges: Some(&cache),
-            hb_final: Some(&hb_final),
-            ..MergeAssist::default()
-        };
+        let assist = MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) };
         let assisted = merger.merge_assisted(&ex.arena, &ex.hm, &ex.hb, &ex.s0, assist).unwrap();
 
         assert_eq!(plain.bad, assisted.bad);
@@ -612,11 +605,11 @@ mod tests {
         assert_eq!(plain.forwarded, assisted.forwarded);
         assert_eq!(plain.new_master, assisted.new_master);
         assert_eq!(plain.reexecuted, assisted.reexecuted);
-        assert_eq!(
-            plain.merged_history.as_ref().map(|h| h.order().to_vec()),
-            assisted.merged_history.as_ref().map(|h| h.order().to_vec())
-        );
         assert_eq!(plain.graph_edges, assisted.graph_edges);
+        // The cached build is only the conflict cone: no witness.
+        assert!(plain.merged_history.is_some());
+        assert!(assisted.merged_history.is_none());
+        assert!(!assisted.fast_path);
     }
 
     #[test]
@@ -693,7 +686,8 @@ mod tests {
     fn scratch_reuse_matches_fresh_merges() {
         // One MergeScratch threaded through repeated merges (with and
         // without a base-edge cache) must produce outcomes identical to
-        // fresh merges — reuse is observation-free.
+        // fresh merges — reuse is observation-free. Only the cached rounds
+        // (conflict-cone graphs) go without the witness.
         let ex = example1();
         let merger = Merger::new(MergeConfig::default());
         let mut scratch = MergeScratch::new();
@@ -706,11 +700,7 @@ mod tests {
             let assist = if round % 2 == 0 {
                 MergeAssist::default()
             } else {
-                MergeAssist {
-                    base_edges: Some(&cache),
-                    hb_final: Some(&hb_final),
-                    ..MergeAssist::default()
-                }
+                MergeAssist { base_edges: Some(&cache), hb_final: Some(&hb_final) }
             };
             let reused = merger
                 .merge_scratch(&ex.arena, &ex.hm, &ex.hb, &ex.s0, assist, &mut scratch)
@@ -724,11 +714,12 @@ mod tests {
             assert_eq!(plain.new_master, reused.new_master, "round {round}");
             assert_eq!(plain.reexecuted, reused.reexecuted, "round {round}");
             assert_eq!(plain.graph_edges, reused.graph_edges, "round {round}");
-            assert_eq!(
-                plain.merged_history.as_ref().map(|h| h.order().to_vec()),
-                reused.merged_history.as_ref().map(|h| h.order().to_vec()),
-                "round {round}"
-            );
+            let witness = |o: &MergeOutcome| o.merged_history.as_ref().map(|h| h.order().to_vec());
+            if round % 2 == 0 {
+                assert_eq!(witness(&plain), witness(&reused), "round {round}");
+            } else {
+                assert_eq!(witness(&reused), None, "round {round}");
+            }
         }
     }
 

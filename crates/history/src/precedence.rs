@@ -14,8 +14,14 @@
 //! **Theorem 1**: `G(H_m, H_b)` is acyclic iff `H_m` and `H_b` are
 //! serializable, i.e. equivalent to some merged history `H` — which
 //! [`PrecedenceGraph::merged_history`] then produces by topological sort.
+//!
+//! A build from a [`BaseEdgeCache`] materializes only the **conflict
+//! cone**: `H_m`, every base transaction with a rule-3 edge to or from
+//! `H_m`, and every base transaction on a rule-2 path between them. Every
+//! cycle lies inside the cone, so back-out sets are the same as on the
+//! full graph (see [`PrecedenceGraph::build_with_base_cache`]).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use histmerge_txn::{TxnId, TxnKind};
@@ -60,7 +66,8 @@ impl fmt::Display for EdgeKind {
 
 /// Reusable scratch for repeated graph builds: the id → node-index map as
 /// a generation-stamped flat vector, so back-to-back merges over one arena
-/// stop allocating (and rebalancing) a `BTreeMap` per build.
+/// stop allocating (and rebalancing) a `BTreeMap` per build, plus the
+/// per-base-position marks of the conflict-cone search.
 #[derive(Debug, Clone, Default)]
 pub struct GraphScratch {
     /// `TxnId` slot → node index, valid only when the stamp matches the
@@ -68,6 +75,9 @@ pub struct GraphScratch {
     index: Vec<u32>,
     stamp: Vec<u32>,
     generation: u32,
+    /// Base position → cone membership bits (`ENTRY`, `EXIT`, `FWD`,
+    /// `BWD`), cleared per cached build.
+    marks: Vec<u8>,
 }
 
 impl GraphScratch {
@@ -204,13 +214,77 @@ impl BaseEdgeCache {
         &self.footprint
     }
 
-    /// The conflicting pairs among the first `prefix` transactions, in the
-    /// `(i asc, j asc)` order the from-scratch build emits them.
-    fn pairs_upto(&self, prefix: usize) -> Vec<(usize, usize)> {
-        let mut pairs = self.pairs[..self.edge_count(prefix)].to_vec();
-        pairs.sort_unstable();
-        pairs
+    /// The conflicting pairs whose later member lies in `lo..hi` (both
+    /// clamped to the cached length), in append order.
+    fn pairs_ending_in(&self, lo: usize, hi: usize) -> &[(usize, usize)] {
+        &self.pairs[self.edge_count(lo)..self.edge_count(hi)]
     }
+}
+
+/// Cone marks of a base position: it has a rule-3 edge from `H_m`
+/// (entry), to `H_m` (exit), is reachable from an entry over rule-2 edges
+/// (forward), or reaches an exit (backward).
+const ENTRY: u8 = 1;
+const EXIT: u8 = 2;
+const FWD: u8 = 4;
+const BWD: u8 = 8;
+
+/// Whether marks put a base position in the conflict cone: a rule-3
+/// neighbour of `H_m`, or on a rule-2 path from an entry to an exit.
+fn in_cone(mark: u8) -> bool {
+    mark & (ENTRY | EXIT) != 0 || mark & (FWD | BWD) == FWD | BWD
+}
+
+/// The base positions of the conflict cone over the first `prefix` cached
+/// transactions, ascending, and the cached rule-2 pairs among them in
+/// `(i asc, j asc)` order. `cross` holds the rule-3 edges as
+/// `(tentative position, base position, kind)`.
+///
+/// Pairs are grouped by ascending later member, so one forward pass marks
+/// everything reachable from an entry and one reverse pass everything that
+/// reaches an exit. Only pairs ending after the first entry and no later
+/// than the last exit can lie on an entry-to-exit path. The cone's own
+/// pairs are then read from the groups of its members alone.
+fn cone(
+    cache: &BaseEdgeCache,
+    prefix: usize,
+    cross: &[(usize, usize, EdgeKind)],
+    marks: &mut Vec<u8>,
+) -> (Vec<usize>, Vec<(usize, usize)>) {
+    marks.clear();
+    marks.resize(prefix, 0);
+    for &(_, b, kind) in cross {
+        marks[b] |= match kind {
+            EdgeKind::MobileReadBase => ENTRY | FWD,
+            _ => EXIT | BWD,
+        };
+    }
+    let first_entry = marks.iter().position(|m| m & ENTRY != 0);
+    let last_exit = marks.iter().rposition(|m| m & EXIT != 0);
+    if let (Some(lo), Some(hi)) = (first_entry, last_exit) {
+        if lo < hi {
+            let span = cache.pairs_ending_in(lo + 1, hi + 1);
+            for &(i, j) in span {
+                if marks[i] & FWD != 0 {
+                    marks[j] |= FWD;
+                }
+            }
+            for &(i, j) in span.iter().rev() {
+                if marks[j] & BWD != 0 {
+                    marks[i] |= BWD;
+                }
+            }
+        }
+    }
+    let base: Vec<usize> = (0..prefix).filter(|&b| in_cone(marks[b])).collect();
+    let mut pairs: Vec<(usize, usize)> = base
+        .iter()
+        .flat_map(|&j| cache.pairs_ending_in(j, j + 1))
+        .copied()
+        .filter(|&(i, _)| in_cone(marks[i]))
+        .collect();
+    pairs.sort_unstable();
+    (base, pairs)
 }
 
 /// How a [`PrecedenceGraph`] build obtains the rule-2 (base-conflict)
@@ -222,17 +296,25 @@ enum Rule2<'a> {
     Cached(&'a BaseEdgeCache),
 }
 
-/// The precedence graph over the transactions of `H_m ∪ H_b`.
+/// The precedence graph over the transactions of `H_m ∪ H_b` — or, for a
+/// cached build, over its conflict cone.
 #[derive(Debug, Clone)]
 pub struct PrecedenceGraph {
     /// Node order: `H_m` transactions first, then `H_b` transactions.
     nodes: Vec<TxnId>,
     kinds: Vec<TxnKind>,
+    /// Id → node index.
+    positions: HashMap<TxnId, usize>,
     /// Adjacency: `succs[i]` holds the node indices `i` points to, sorted
     /// ascending after the build (membership tests binary-search).
     succs: Vec<Vec<usize>>,
-    /// Every edge with its reason, for diagnostics and Figure 1 rendering.
+    /// Every materialized edge with its reason, for diagnostics and
+    /// Figure 1 rendering.
     edges: Vec<(TxnId, TxnId, EdgeKind)>,
+    /// Edge count of the full `G(H_m, H_b)`, cone builds included.
+    edge_count: usize,
+    /// Built from a [`BaseEdgeCache`]: only the conflict cone is present.
+    cone: bool,
 }
 
 impl PrecedenceGraph {
@@ -256,14 +338,27 @@ impl PrecedenceGraph {
         Self::build_inner(arena, hm, hb, Rule2::Compute, scratch)
     }
 
-    /// Builds the graph like [`build`](Self::build), but takes the rule-2
+    /// Builds the **conflict cone** of `G(H_m, H_b)`, taking the rule-2
     /// base-conflict edges from an incrementally maintained
     /// [`BaseEdgeCache`] instead of recomputing the `O(|H_b|²)` pairwise
     /// comparisons. The cache must cover `hb` — i.e. `hb` must equal a
     /// prefix of the cached history.
     ///
-    /// The resulting graph is identical to the from-scratch build, edge
-    /// order included.
+    /// The cone holds `H_m`, the entry set `E` (base transactions with a
+    /// rule-3 edge `T_m → T_b`), the exit set `X` (`T_b → T_m`), and every
+    /// base transaction on a rule-2 path from `E` to `X`, with every edge
+    /// of the full graph among them. Each cycle passes through a tentative
+    /// node and rule-2 edges only point forward in `H_b`, so every cycle
+    /// leaves `H_m` into `E`, runs along rule-2 edges and returns from `X`:
+    /// it lies inside the cone. Every rule-3 neighbour is kept, so
+    /// tentative degrees are exact; the kept nodes keep their relative
+    /// order; and a dropped node reachable from `H_m` cannot reach `X`, so
+    /// it never reaches a node on a cycle. Hence cycle detection, the
+    /// strongly connected components with cycles (in emission order), the
+    /// 2-cycles, and every back-out strategy's set `B` are those of the
+    /// full graph. [`edge_count`](Self::edge_count) still reports the full
+    /// graph's edge count; [`merged_history`](Self::merged_history) is
+    /// unavailable, since the dropped base nodes belong to the witness.
     pub fn build_with_base_cache(
         arena: &TxnArena,
         hm: &SerialHistory,
@@ -297,8 +392,52 @@ impl PrecedenceGraph {
         rule2: Rule2,
         scratch: &mut GraphScratch,
     ) -> Self {
-        let nodes: Vec<TxnId> = hm.iter().chain(hb.iter()).collect();
+        let hm_order = hm.order();
+        let hb_order = hb.order();
+
+        // Rule 3 first: on a cached build the cross edges decide which base
+        // transactions become nodes. Both histories started from the same
+        // state, so a tentative read of an item some base transaction
+        // wrote must have observed the pre-base value (and vice versa).
+        let mut cross: Vec<(usize, usize, EdgeKind)> = Vec::new();
+        for (m, &tm) in hm_order.iter().enumerate() {
+            for (b, &tb) in hb_order.iter().enumerate() {
+                if arena.reads_overlap_writes(tm, tb) {
+                    cross.push((m, b, EdgeKind::MobileReadBase));
+                }
+                if arena.reads_overlap_writes(tb, tm) {
+                    cross.push((m, b, EdgeKind::BaseReadMobile));
+                }
+            }
+        }
+
+        // Base nodes (as positions in `hb`) and the rule-2 pairs among
+        // them, in the `(i asc, j asc)` order of the pairwise scan.
+        let cone_build = matches!(rule2, Rule2::Cached(_));
+        let (base, base_pairs, base_edges) = match rule2 {
+            Rule2::Compute => {
+                let mut pairs = Vec::new();
+                for (i, &ti) in hb_order.iter().enumerate() {
+                    for (j, &tj) in hb_order.iter().enumerate().skip(i + 1) {
+                        if arena.conflicts(ti, tj) {
+                            pairs.push((i, j));
+                        }
+                    }
+                }
+                let count = pairs.len();
+                ((0..hb_order.len()).collect(), pairs, count)
+            }
+            Rule2::Cached(cache) => {
+                let (base, pairs) = cone(cache, hb_order.len(), &cross, &mut scratch.marks);
+                (base, pairs, cache.edge_count(hb_order.len()))
+            }
+        };
+
+        let nodes: Vec<TxnId> =
+            hm_order.iter().copied().chain(base.iter().map(|&b| hb_order[b])).collect();
         let kinds: Vec<TxnKind> = nodes.iter().map(|id| arena.get(*id).kind()).collect();
+        let positions: HashMap<TxnId, usize> =
+            nodes.iter().enumerate().map(|(i, id)| (*id, i)).collect();
         scratch.begin(arena.len());
         for (i, id) in nodes.iter().enumerate() {
             scratch.record(*id, i);
@@ -308,6 +447,9 @@ impl PrecedenceGraph {
         let mut graph = PrecedenceGraph {
             succs: vec![Vec::new(); nodes.len()],
             edges: Vec::new(),
+            edge_count: 0,
+            cone: cone_build,
+            positions,
             nodes,
             kinds,
         };
@@ -315,48 +457,29 @@ impl PrecedenceGraph {
         // Rule 1: order of conflicting tentative transactions in H_m.
         // Conflicts are word-wise bitset tests over the arena's interned
         // footprints — identical answers to the VarSet intersections.
-        let hm_order: Vec<TxnId> = hm.iter().collect();
         for (i, &ti) in hm_order.iter().enumerate() {
             for &tj in &hm_order[i + 1..] {
                 if arena.conflicts(ti, tj) {
-                    graph.add_edge(index_of(ti), index_of(tj), EdgeKind::MobileConflict);
+                    graph.add_edge(i, index_of(tj), EdgeKind::MobileConflict);
                 }
             }
         }
+        let rule1 = graph.edges.len();
 
         // Rule 2: order of conflicting base transactions in H_b.
-        let hb_order: Vec<TxnId> = hb.iter().collect();
-        let base_offset = hm_order.len();
-        match rule2 {
-            Rule2::Compute => {
-                for (i, &ti) in hb_order.iter().enumerate() {
-                    for &tj in &hb_order[i + 1..] {
-                        if arena.conflicts(ti, tj) {
-                            graph.add_edge(index_of(ti), index_of(tj), EdgeKind::BaseConflict);
-                        }
-                    }
-                }
-            }
-            Rule2::Cached(cache) => {
-                for (i, j) in cache.pairs_upto(hb_order.len()) {
-                    graph.add_edge(base_offset + i, base_offset + j, EdgeKind::BaseConflict);
-                }
-            }
+        for (i, j) in base_pairs {
+            graph.add_edge(index_of(hb_order[i]), index_of(hb_order[j]), EdgeKind::BaseConflict);
         }
 
-        // Rule 3: cross edges. Both histories started from the same state,
-        // so a tentative read of an item some base transaction wrote must
-        // have observed the pre-base value (and vice versa).
-        for &tm in &hm_order {
-            for &tb in &hb_order {
-                if arena.reads_overlap_writes(tm, tb) {
-                    graph.add_edge(index_of(tm), index_of(tb), EdgeKind::MobileReadBase);
-                }
-                if arena.reads_overlap_writes(tb, tm) {
-                    graph.add_edge(index_of(tb), index_of(tm), EdgeKind::BaseReadMobile);
-                }
+        // Rule 3: the cross edges found above.
+        for &(m, b, kind) in &cross {
+            let b = index_of(hb_order[b]);
+            match kind {
+                EdgeKind::MobileReadBase => graph.add_edge(m, b, kind),
+                _ => graph.add_edge(b, m, kind),
             }
         }
+        graph.edge_count = rule1 + base_edges + cross.len();
 
         // Sort adjacency ascending (rule-3 targets arrive out of order for
         // base nodes) so membership binary-searches and iteration matches
@@ -368,11 +491,13 @@ impl PrecedenceGraph {
         graph
     }
 
+    /// Adds `from → to`. The three rules draw disjoint edge sets (rule 1
+    /// between tentative nodes, rule 2 between base nodes, rule 3 across,
+    /// one per direction), so no edge arrives twice.
     fn add_edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
-        if !self.succs[from].contains(&to) {
-            self.succs[from].push(to);
-            self.edges.push((self.nodes[from], self.nodes[to], kind));
-        }
+        debug_assert!(!self.succs[from].contains(&to), "duplicate edge");
+        self.succs[from].push(to);
+        self.edges.push((self.nodes[from], self.nodes[to], kind));
     }
 
     /// The transactions in the graph (tentative first, then base).
@@ -380,9 +505,24 @@ impl PrecedenceGraph {
         &self.nodes
     }
 
-    /// Every edge as `(from, to, kind)`, in insertion order.
+    /// Every materialized edge as `(from, to, kind)`, in insertion order
+    /// (rule 1, rule 2, rule 3). A conflict-cone build lists only the
+    /// edges among its nodes.
     pub fn edges(&self) -> &[(TxnId, TxnId, EdgeKind)] {
         &self.edges
+    }
+
+    /// Number of edges of the full `G(H_m, H_b)` — also for a
+    /// conflict-cone build, which counts the edges it leaves out (the
+    /// cost model charges for the whole graph).
+    pub fn edge_count(&self) -> usize {
+        self.edge_count
+    }
+
+    /// `true` for a build from a [`BaseEdgeCache`], which holds only the
+    /// conflict cone of `H_m ∪ H_b`.
+    pub fn is_cone(&self) -> bool {
+        self.cone
     }
 
     /// Returns `true` if there is an edge `from → to`.
@@ -395,7 +535,7 @@ impl PrecedenceGraph {
 
     /// The node index of `id`, if present.
     fn index(&self, id: TxnId) -> Option<usize> {
-        self.nodes.iter().position(|n| *n == id)
+        self.positions.get(&id).copied()
     }
 
     /// The kind (base/tentative) of a node.
@@ -416,6 +556,10 @@ impl PrecedenceGraph {
         self.is_acyclic_without(&BTreeSet::new())
     }
 
+    fn alive(&self, removed: &BTreeSet<TxnId>) -> Vec<bool> {
+        self.nodes.iter().map(|id| !removed.contains(id)).collect()
+    }
+
     /// Kahn topological sort over the nodes not in `removed`; `None` if the
     /// remaining graph has a cycle. Ties are broken by preferring **base**
     /// transactions, then lower node index — so merged histories
@@ -424,7 +568,7 @@ impl PrecedenceGraph {
     /// Example 1.
     fn topo_order_without(&self, removed: &BTreeSet<TxnId>) -> Option<Vec<TxnId>> {
         let n = self.nodes.len();
-        let alive: Vec<bool> = self.nodes.iter().map(|id| !removed.contains(id)).collect();
+        let alive = self.alive(removed);
         let mut indegree = vec![0usize; n];
         for (from, succs) in self.succs.iter().enumerate() {
             if !alive[from] {
@@ -458,7 +602,13 @@ impl PrecedenceGraph {
 
     /// If the graph (minus `removed`) is acyclic, returns an equivalent
     /// merged serial history over the remaining transactions (Theorem 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a conflict-cone build ([`is_cone`](Self::is_cone)): the
+    /// base transactions it may leave out belong to the witness.
     pub fn merged_history_without(&self, removed: &BTreeSet<TxnId>) -> Option<SerialHistory> {
+        assert!(!self.cone, "a conflict-cone graph has no merged history");
         self.topo_order_without(removed).map(SerialHistory::from_order)
     }
 
@@ -471,13 +621,13 @@ impl PrecedenceGraph {
     /// self-loop — i.e. the components containing cycles. Nodes in
     /// `removed` are ignored.
     pub fn cyclic_sccs(&self, removed: &BTreeSet<TxnId>) -> Vec<Vec<TxnId>> {
-        let sccs = self.tarjan_sccs(removed);
-        sccs.into_iter()
-            .filter(|scc| {
-                scc.len() > 1 || {
-                    let i = self.index(scc[0]).expect("scc node");
-                    self.succs[i].binary_search(&i).is_ok()
-                }
+        self.tarjan_sccs(removed)
+            .into_iter()
+            .filter(|scc| scc.len() > 1 || self.succs[scc[0]].binary_search(&scc[0]).is_ok())
+            .map(|scc| {
+                let mut ids: Vec<TxnId> = scc.into_iter().map(|i| self.nodes[i]).collect();
+                ids.sort_unstable();
+                ids
             })
             .collect()
     }
@@ -487,16 +637,14 @@ impl PrecedenceGraph {
     /// conflicts appear as 2-cycles, motivating the two-cycle-optimal
     /// back-out strategy.
     pub fn two_cycles(&self, removed: &BTreeSet<TxnId>) -> Vec<(TxnId, TxnId)> {
+        let alive = self.alive(removed);
         let mut out = Vec::new();
         for (i, succs) in self.succs.iter().enumerate() {
-            if removed.contains(&self.nodes[i]) {
+            if !alive[i] {
                 continue;
             }
             for &j in succs {
-                if j > i
-                    && !removed.contains(&self.nodes[j])
-                    && self.succs[j].binary_search(&i).is_ok()
-                {
+                if j > i && alive[j] && self.succs[j].binary_search(&i).is_ok() {
                     out.push((self.nodes[i], self.nodes[j]));
                 }
             }
@@ -505,65 +653,63 @@ impl PrecedenceGraph {
     }
 
     /// Tarjan's strongly-connected-components algorithm (iterative), over
-    /// nodes not in `removed`.
-    fn tarjan_sccs(&self, removed: &BTreeSet<TxnId>) -> Vec<Vec<TxnId>> {
+    /// nodes not in `removed`. Components are lists of node indices, in
+    /// emission order.
+    fn tarjan_sccs(&self, removed: &BTreeSet<TxnId>) -> Vec<Vec<usize>> {
         let n = self.nodes.len();
-        let alive: Vec<bool> = self.nodes.iter().map(|id| !removed.contains(id)).collect();
+        let alive = self.alive(removed);
         let mut index = vec![usize::MAX; n];
         let mut lowlink = vec![0usize; n];
         let mut on_stack = vec![false; n];
         let mut stack: Vec<usize> = Vec::new();
         let mut next_index = 0usize;
-        let mut sccs: Vec<Vec<TxnId>> = Vec::new();
+        let mut sccs: Vec<Vec<usize>> = Vec::new();
 
-        // Explicit DFS stack: (node, iterator position over succs).
+        // Explicit DFS stack: (node, position in its successor list).
+        let mut call_stack: Vec<(usize, usize)> = Vec::new();
         for start in 0..n {
             if !alive[start] || index[start] != usize::MAX {
                 continue;
             }
-            let mut call_stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-            let succs_of = |v: usize| -> Vec<usize> {
-                self.succs[v].iter().copied().filter(|&w| alive[w]).collect()
-            };
             index[start] = next_index;
             lowlink[start] = next_index;
             next_index += 1;
             stack.push(start);
             on_stack[start] = true;
-            call_stack.push((start, succs_of(start), 0));
+            call_stack.push((start, 0));
 
-            while let Some((v, succs, pos)) = call_stack.last_mut() {
-                if *pos < succs.len() {
-                    let w = succs[*pos];
+            while let Some((v, pos)) = call_stack.last_mut() {
+                let v = *v;
+                if let Some(&w) = self.succs[v].get(*pos) {
                     *pos += 1;
+                    if !alive[w] {
+                        continue;
+                    }
                     if index[w] == usize::MAX {
                         index[w] = next_index;
                         lowlink[w] = next_index;
                         next_index += 1;
                         stack.push(w);
                         on_stack[w] = true;
-                        call_stack.push((w, succs_of(w), 0));
+                        call_stack.push((w, 0));
                     } else if on_stack[w] {
-                        let v = *v;
                         lowlink[v] = lowlink[v].min(index[w]);
                     }
                 } else {
-                    let v = *v;
                     call_stack.pop();
-                    if let Some((parent, _, _)) = call_stack.last() {
-                        lowlink[*parent] = lowlink[*parent].min(lowlink[v]);
+                    if let Some(&(parent, _)) = call_stack.last() {
+                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
                     }
                     if lowlink[v] == index[v] {
                         let mut scc = Vec::new();
                         loop {
                             let w = stack.pop().expect("tarjan stack");
                             on_stack[w] = false;
-                            scc.push(self.nodes[w]);
+                            scc.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        scc.sort_unstable();
                         sccs.push(scc);
                     }
                 }
@@ -594,7 +740,11 @@ impl PrecedenceGraph {
 
 impl fmt::Display for PrecedenceGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "precedence graph: {} nodes, {} edges", self.nodes.len(), self.edges.len())?;
+        write!(f, "precedence graph: {} nodes, {} edges", self.nodes.len(), self.edge_count)?;
+        if self.cone {
+            write!(f, " ({} in the conflict cone)", self.edges.len())?;
+        }
+        writeln!(f)?;
         for (from, to, kind) in &self.edges {
             writeln!(f, "  {from} -> {to}  [{kind}]")?;
         }
@@ -753,6 +903,27 @@ mod tests {
         assert!(text.contains("mobile-read-base"));
     }
 
+    /// A conflict-cone build must agree with the full graph on everything
+    /// back-out reads: the full edge count, node order (the cone's nodes
+    /// and edges are order-preserving subsequences of the full graph's),
+    /// and every strategy's back-out set.
+    fn assert_cone_matches(full: &PrecedenceGraph, cone: &PrecedenceGraph) {
+        use crate::backout::{BackoutStrategy, ExactMinimum, GreedyScc, TwoCycleOptimal};
+        assert!(cone.is_cone() && !full.is_cone());
+        assert_eq!(cone.edge_count(), full.edge_count());
+        assert_eq!(full.edge_count(), full.edges().len());
+        let mut rest = full.nodes().iter();
+        assert!(cone.nodes().iter().all(|id| rest.any(|n| n == id)), "cone node order");
+        let mut rest = full.edges().iter();
+        assert!(cone.edges().iter().all(|e| rest.any(|f| f == e)), "cone edge order");
+        let unit = |_: TxnId| 1u64;
+        let strategies: [&dyn BackoutStrategy; 3] =
+            [&ExactMinimum::new(), &TwoCycleOptimal::new(), &GreedyScc::new()];
+        for s in strategies {
+            assert_eq!(s.compute(cone, &unit), s.compute(full, &unit), "{}", s.name());
+        }
+    }
+
     #[test]
     fn cached_build_matches_from_scratch() {
         let ex = crate::fixtures::example1();
@@ -761,10 +932,48 @@ mod tests {
         assert_eq!(cache.len(), ex.hb.len());
         let scratch = PrecedenceGraph::build(&ex.arena, &ex.hm, &ex.hb);
         let cached = PrecedenceGraph::build_with_base_cache(&ex.arena, &ex.hm, &ex.hb, &cache);
-        assert_eq!(scratch.nodes(), cached.nodes());
-        assert_eq!(scratch.edges(), cached.edges());
+        assert_cone_matches(&scratch, &cached);
         assert_eq!(cache.edge_count(ex.hb.len()), 1); // Tb1 -> Tb2 on d5
         assert_eq!(cache.edge_count(0), 0);
+    }
+
+    #[test]
+    fn cone_keeps_only_base_nodes_that_can_close_a_cycle() {
+        let mut arena = TxnArena::new();
+        let m = rw_txn(&mut arena, "m", TxnKind::Tentative, &[0], &[9]);
+        // Exit only: reads d9, which m writes.
+        let b5 = rw_txn(&mut arena, "b5", TxnKind::Base, &[9], &[6]);
+        // Entry (m reads d0) -> b1 -> b2 (exit: reads d9): the cycle path.
+        let b0 = rw_txn(&mut arena, "b0", TxnKind::Base, &[], &[0, 1]);
+        let b1 = rw_txn(&mut arena, "b1", TxnKind::Base, &[1], &[2]);
+        let b2 = rw_txn(&mut arena, "b2", TxnKind::Base, &[2, 9], &[3]);
+        // Disjoint from everything.
+        let b3 = rw_txn(&mut arena, "b3", TxnKind::Base, &[5], &[5]);
+        // Reachable from the entry but reaches no exit.
+        let b4 = rw_txn(&mut arena, "b4", TxnKind::Base, &[3], &[4]);
+        let hm = SerialHistory::from_order([m]);
+        let hb = SerialHistory::from_order([b5, b0, b1, b2, b3, b4]);
+        let mut cache = BaseEdgeCache::new();
+        cache.sync(&arena, &hb);
+        let full = PrecedenceGraph::build(&arena, &hm, &hb);
+        let cone = PrecedenceGraph::build_with_base_cache(&arena, &hm, &hb, &cache);
+        assert_eq!(cone.nodes(), &[m, b5, b0, b1, b2]);
+        assert_eq!(full.edge_count(), 6);
+        assert_eq!(cone.edges().len(), 5, "b2 -> b4 lies outside the cone");
+        assert!(!cone.is_acyclic());
+        assert_eq!(cone.cyclic_sccs(&BTreeSet::new()), vec![vec![m, b0, b1, b2]]);
+        assert_cone_matches(&full, &cone);
+        assert!(cone.to_string().contains("6 edges (5 in the conflict cone)"));
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict-cone graph has no merged history")]
+    fn cone_has_no_witness() {
+        let ex = crate::fixtures::example1();
+        let mut cache = BaseEdgeCache::new();
+        cache.sync(&ex.arena, &ex.hb);
+        let cone = PrecedenceGraph::build_with_base_cache(&ex.arena, &ex.hm, &ex.hb, &cache);
+        let _ = cone.merged_history();
     }
 
     #[test]
@@ -777,9 +986,9 @@ mod tests {
         let hm = SerialHistory::from_order([m]);
 
         let mut cache = BaseEdgeCache::new();
-        // Grow the epoch two transactions at a time; each prefix must match
-        // the from-scratch build exactly, including edge order, and earlier
-        // prefixes must keep working after later extensions.
+        // Grow the epoch two transactions at a time; each prefix's cone
+        // must match the from-scratch build, and earlier prefixes must
+        // keep working after later extensions.
         for step in [2usize, 4, 6] {
             let hb = SerialHistory::from_order(ids[..step].iter().copied());
             cache.sync(&arena, &hb);
@@ -787,7 +996,7 @@ mod tests {
                 let hb_pre = SerialHistory::from_order(ids[..prefix].iter().copied());
                 let scratch = PrecedenceGraph::build(&arena, &hm, &hb_pre);
                 let cached = PrecedenceGraph::build_with_base_cache(&arena, &hm, &hb_pre, &cache);
-                assert_eq!(scratch.edges(), cached.edges(), "prefix {prefix} of {step}");
+                assert_cone_matches(&scratch, &cached);
                 assert_eq!(
                     cache.edge_count(prefix),
                     scratch.edges().iter().filter(|(_, _, k)| *k == EdgeKind::BaseConflict).count()
@@ -814,6 +1023,8 @@ mod tests {
                 PrecedenceGraph::build_with_scratch(&ex.arena, &ex.hm, &ex.hb, &mut scratch);
             assert_eq!(fresh.edges(), reused.edges());
             assert_eq!(fresh.nodes(), reused.nodes());
+            let fresh_cone =
+                PrecedenceGraph::build_with_base_cache(&ex.arena, &ex.hm, &ex.hb, &cache);
             let cached = PrecedenceGraph::build_with_base_cache_scratch(
                 &ex.arena,
                 &ex.hm,
@@ -821,7 +1032,9 @@ mod tests {
                 &cache,
                 &mut scratch,
             );
-            assert_eq!(fresh.edges(), cached.edges());
+            assert_eq!(fresh_cone.nodes(), cached.nodes());
+            assert_eq!(fresh_cone.edges(), cached.edges());
+            assert_cone_matches(&fresh, &cached);
             // A smaller build right after must not see stale entries.
             let small = PrecedenceGraph::build_with_scratch(
                 &ex.arena,

@@ -78,10 +78,9 @@ pub struct BatchJob {
 /// The per-job computation is identical to
 /// [`Merger::merge_assisted`] on one thread; parallelism changes only
 /// wall-clock time, never results. Each merge may take the conflict-free
-/// fast path and defers its Theorem-1 witness history
-/// ([`MergeAssist::defer_witness`]): the install pipeline never reads it,
-/// and its topological sort is the dominant super-linear term at cohort
-/// scale.
+/// fast path; otherwise it builds only the conflict cone of the
+/// precedence graph and produces no Theorem-1 witness history, which the
+/// install pipeline never reads.
 #[allow(clippy::too_many_arguments)]
 pub fn merge_batch(
     arena: &TxnArena,
@@ -93,8 +92,7 @@ pub fn merge_batch(
     make_merger: &(dyn Fn() -> Merger + Sync),
     workers: usize,
 ) -> Vec<Result<MergeOutcome, CoreError>> {
-    let assist =
-        MergeAssist { base_edges: Some(cache), hb_final: Some(hb_final), defer_witness: true };
+    let assist = MergeAssist { base_edges: Some(cache), hb_final: Some(hb_final) };
     if workers <= 1 || jobs.len() <= 1 {
         let merger = make_merger();
         let mut scratch = MergeScratch::new();
@@ -284,10 +282,11 @@ mod tests {
         }
         // The fast-path member's cheap concatenation witness equals the
         // slow path's topological sort; the batch's slow-path member
-        // defers its witness instead of sorting.
+        // builds only the conflict cone, which has no witness.
         assert_eq!(slow[0].merged_history, fast[0].as_ref().unwrap().merged_history);
         assert!(slow[1].merged_history.is_some());
         assert!(fast[1].as_ref().unwrap().merged_history.is_none());
+        assert_eq!(slow[1].bad, fast[1].as_ref().unwrap().bad);
         assert!(fast[0].as_ref().unwrap().fast_path, "disjoint member takes the fast path");
         assert!(!fast[1].as_ref().unwrap().fast_path, "conflicting member keeps the slow path");
     }

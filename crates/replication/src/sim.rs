@@ -1847,12 +1847,8 @@ impl Simulation {
         let hb_final = self.base.base().master().clone();
         self.sync_cache();
         let merger = self.merger(algorithm, fix_mode);
-        // The install path never reads the Theorem-1 witness history.
-        let assist = MergeAssist {
-            base_edges: Some(&self.base_edge_cache),
-            hb_final: Some(&hb_final),
-            defer_witness: true,
-        };
+        let assist =
+            MergeAssist { base_edges: Some(&self.base_edge_cache), hb_final: Some(&hb_final) };
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
         let planned = merger.merge_traced(&self.arena, &hm, &hb, &s0, assist, &tracer);
