@@ -1,4 +1,4 @@
-//! The per-PR perf-trajectory gate over the committed `BENCH_pr12.json`.
+//! The per-PR perf-trajectory gate over the committed `BENCH_pr13.json`.
 //!
 //! Two modes:
 //!
@@ -7,7 +7,7 @@
 //!   `BENCH_compaction.json` (E20), `BENCH_storm.json` (E21) and
 //!   `BENCH_cohort.json` (E23) artifacts from `$EXPERIMENTS_DIR`
 //!   (default `target/experiments`) into one trajectory document,
-//!   written to `PATH` (default `BENCH_pr12.json`). Run from the repo
+//!   written to `PATH` (default `BENCH_pr13.json`). Run from the repo
 //!   root to refresh the committed baseline.
 //! * `bench_trajectory --check BASELINE [--out PATH]` — combine the
 //!   fresh artifacts the same way (written to `PATH` for CI upload),
@@ -24,8 +24,7 @@
 //!     `BENCH_TRAJECTORY_TOLERANCE`;
 //!   - **outcome counters** ([`COUNTER_COLUMNS`]) are deterministic
 //!     functions of the experiment's configuration and fail on any
-//!     difference — except in [`TIMING_SELECTED_TABLES`], whose rows
-//!     report a run chosen by wall time.
+//!     difference.
 //!
 //! Absolute `per_sec` numbers shift with the hardware profile, which is
 //! why that band is wide and one-sided (only regressions fail, speedups
@@ -56,11 +55,6 @@ const COUNTER_COLUMNS: [&str; 11] = [
     "fastpath",
 ];
 
-/// Tables whose rows report the counters of a run picked by wall time
-/// (E19's `scale` row is the slowest of three workload seeds), so their
-/// counters depend on the host; only their throughput columns are gated.
-const TIMING_SELECTED_TABLES: [&str; 1] = ["BENCH_scale/scale"];
-
 /// How a gated column is compared.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Gate {
@@ -70,11 +64,11 @@ enum Gate {
     Exact,
 }
 
-/// The gate of `column` in `table` (`artifact/table`), if any.
-fn gate_of(table: &str, column: &str) -> Option<Gate> {
+/// The gate of `column`, if any.
+fn gate_of(column: &str) -> Option<Gate> {
     if column.contains("per_sec") || column.contains("speedup") {
         Some(Gate::Throughput)
-    } else if COUNTER_COLUMNS.contains(&column) && !TIMING_SELECTED_TABLES.contains(&table) {
+    } else if COUNTER_COLUMNS.contains(&column) {
         Some(Gate::Exact)
     } else {
         None
@@ -139,7 +133,7 @@ fn gated_rows(doc: &JsonVal) -> BTreeMap<String, Row> {
                 let gated: Row = members
                     .iter()
                     .filter_map(|(column, value)| {
-                        let gate = gate_of(&table, column)?;
+                        let gate = gate_of(column)?;
                         Some((column.clone(), (gate, value.as_str().and_then(metric_number)?)))
                     })
                     .collect();
@@ -210,7 +204,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = None;
     let mut baseline_path = None;
-    let mut out = PathBuf::from("BENCH_pr12.json");
+    let mut out = PathBuf::from("BENCH_pr13.json");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -354,9 +348,12 @@ mod tests {
     }
 
     #[test]
-    fn timing_selected_tables_gate_only_throughput() {
+    fn scale_table_counters_are_gated_exactly() {
+        // E19's scale rows report a fixed seed's counters, so they are
+        // gated like every other table's.
         let baseline = table_doc("scale", &counter_row("10000", "100", "7"));
-        assert_eq!(check(&baseline, &table_doc("scale", &counter_row("10000", "100", "8"))), 0);
+        assert_eq!(check(&baseline, &table_doc("scale", &counter_row("10000", "100", "7"))), 0);
+        assert_eq!(check(&baseline, &table_doc("scale", &counter_row("10000", "100", "8"))), 1);
         assert_eq!(check(&baseline, &table_doc("scale", &counter_row("10000", "70", "7"))), 1);
     }
 }
