@@ -156,7 +156,7 @@ pub struct MergeAssist<'a> {
 }
 
 /// Reusable working memory for repeated merges (the zero-realloc hot
-/// path): precedence-graph id maps and reads-from closure buffers that
+/// path): precedence-graph build buffers and reads-from closure buffers that
 /// would otherwise be reallocated per merge. A caller merging once per
 /// window step holds one `MergeScratch` and threads it through
 /// [`Merger::merge_scratch`]; each merge leaves the buffers grown to the
@@ -168,7 +168,7 @@ pub struct MergeAssist<'a> {
 /// `scratch_reuse_matches_fresh_merges` unit test pins this).
 #[derive(Default)]
 pub struct MergeScratch {
-    /// Flat id→node map reused by [`PrecedenceGraph::build_with_scratch`].
+    /// Per-base-position buffers reused by the precedence-graph builds.
     pub graph: GraphScratch,
     /// Last-writer and row buffers reused by
     /// [`ClosureTable::build_with_scratch`].

@@ -64,53 +64,22 @@ impl fmt::Display for EdgeKind {
     }
 }
 
-/// Reusable scratch for repeated graph builds: the id → node-index map as
-/// a generation-stamped flat vector, so back-to-back merges over one arena
-/// stop allocating (and rebalancing) a `BTreeMap` per build, plus the
-/// per-base-position marks of the conflict-cone search.
+/// Reusable scratch for repeated graph builds: per-base-position buffers
+/// (cone marks and node indices), so back-to-back merges stop allocating
+/// them per build.
 #[derive(Debug, Clone, Default)]
 pub struct GraphScratch {
-    /// `TxnId` slot → node index, valid only when the stamp matches the
-    /// current generation.
-    index: Vec<u32>,
-    stamp: Vec<u32>,
-    generation: u32,
     /// Base position → cone membership bits (`ENTRY`, `EXIT`, `FWD`,
     /// `BWD`), cleared per cached build.
     marks: Vec<u8>,
+    /// Base position → node index, for the positions that are nodes.
+    node_of: Vec<usize>,
 }
 
 impl GraphScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         GraphScratch::default()
-    }
-
-    /// Starts a new build over an arena with `arena_len` transactions.
-    fn begin(&mut self, arena_len: usize) {
-        if self.index.len() < arena_len {
-            self.index.resize(arena_len, 0);
-            self.stamp.resize(arena_len, 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Generation counter wrapped: old stamps could collide, so
-            // reset them all once.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.generation = 1;
-        }
-    }
-
-    fn record(&mut self, id: TxnId, node: usize) {
-        let slot = id.index() as usize;
-        self.index[slot] = node as u32;
-        self.stamp[slot] = self.generation;
-    }
-
-    fn index_of(&self, id: TxnId) -> usize {
-        let slot = id.index() as usize;
-        debug_assert_eq!(self.stamp[slot], self.generation, "node present");
-        self.index[slot] as usize
     }
 }
 
@@ -438,11 +407,12 @@ impl PrecedenceGraph {
         let kinds: Vec<TxnKind> = nodes.iter().map(|id| arena.get(*id).kind()).collect();
         let positions: HashMap<TxnId, usize> =
             nodes.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-        scratch.begin(arena.len());
-        for (i, id) in nodes.iter().enumerate() {
-            scratch.record(*id, i);
+        let node_of = &mut scratch.node_of;
+        node_of.clear();
+        node_of.resize(hb_order.len(), usize::MAX);
+        for (k, &b) in base.iter().enumerate() {
+            node_of[b] = hm_order.len() + k;
         }
-        let index_of = |id: TxnId| scratch.index_of(id);
 
         let mut graph = PrecedenceGraph {
             succs: vec![Vec::new(); nodes.len()],
@@ -458,9 +428,9 @@ impl PrecedenceGraph {
         // Conflicts are word-wise bitset tests over the arena's interned
         // footprints — identical answers to the VarSet intersections.
         for (i, &ti) in hm_order.iter().enumerate() {
-            for &tj in &hm_order[i + 1..] {
+            for (j, &tj) in hm_order.iter().enumerate().skip(i + 1) {
                 if arena.conflicts(ti, tj) {
-                    graph.add_edge(i, index_of(tj), EdgeKind::MobileConflict);
+                    graph.add_edge(i, j, EdgeKind::MobileConflict);
                 }
             }
         }
@@ -468,12 +438,12 @@ impl PrecedenceGraph {
 
         // Rule 2: order of conflicting base transactions in H_b.
         for (i, j) in base_pairs {
-            graph.add_edge(index_of(hb_order[i]), index_of(hb_order[j]), EdgeKind::BaseConflict);
+            graph.add_edge(node_of[i], node_of[j], EdgeKind::BaseConflict);
         }
 
         // Rule 3: the cross edges found above.
         for &(m, b, kind) in &cross {
-            let b = index_of(hb_order[b]);
+            let b = node_of[b];
             match kind {
                 EdgeKind::MobileReadBase => graph.add_edge(m, b, kind),
                 _ => graph.add_edge(b, m, kind),
