@@ -90,11 +90,11 @@ impl GraphScratch {
 /// conflicts on every merge, even though within a window `H_b` only ever
 /// *grows*. A `BaseEdgeCache` is kept per epoch: appending a suffix of `k`
 /// new base transactions costs `O(k · |H_b|)` comparisons once, and every
-/// merge in the window (serial or batched) then reads its rule-2 edges —
-/// for any prefix of the cached history — in `O(edges)`.
+/// merge in the window (serial or batched) then reads, for any prefix of
+/// the cached history, only the rule-2 edges of its conflict cone.
 ///
 /// Edge counts are tracked cumulatively per prefix, so graphs built from
-/// the cache report byte-identical edge sets to the from-scratch build.
+/// the cache report the from-scratch build's full edge count.
 #[derive(Debug, Clone, Default)]
 pub struct BaseEdgeCache {
     txns: Vec<TxnId>,
