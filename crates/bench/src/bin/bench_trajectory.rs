@@ -1,14 +1,14 @@
-//! The per-PR perf-trajectory gate over the committed `BENCH_pr13.json`.
+//! The per-PR perf-trajectory gate over the committed `BENCH_pr14.json`.
 //!
 //! Two modes:
 //!
 //! * `bench_trajectory --write [--out PATH]` — combine the freshly
 //!   emitted `BENCH_hotpath.json` (E18), `BENCH_scale.json` (E19),
-//!   `BENCH_compaction.json` (E20), `BENCH_storm.json` (E21) and
-//!   `BENCH_cohort.json` (E23) artifacts from `$EXPERIMENTS_DIR`
-//!   (default `target/experiments`) into one trajectory document,
-//!   written to `PATH` (default `BENCH_pr13.json`). Run from the repo
-//!   root to refresh the committed baseline.
+//!   `BENCH_storm.json` (E21) and `BENCH_cohort.json` (E23) artifacts
+//!   from `$EXPERIMENTS_DIR` (default `target/experiments`) into one
+//!   trajectory document, written to `PATH` (default
+//!   `BENCH_pr14.json`). Run from the repo root to refresh the committed
+//!   baseline.
 //! * `bench_trajectory --check BASELINE [--out PATH]` — combine the
 //!   fresh artifacts the same way (written to `PATH` for CI upload),
 //!   then gate every row the baseline and the fresh document share.
@@ -40,8 +40,9 @@ use histmerge_bench::json::{metric_number, parse, JsonVal};
 /// Columns gated exactly: outcome counters that depend only on an
 /// experiment's configuration. `wave_rounds` and `fastpath` are
 /// mechanism counters, host-independent because E23 (the only
-/// experiment emitting them) pins its worker count.
-const COUNTER_COLUMNS: [&str; 11] = [
+/// experiment emitting them) pins its worker count; `conflicts` and
+/// `affected` are E18's kernel answers on a fixed generated scenario.
+const COUNTER_COLUMNS: [&str; 13] = [
     "syncs",
     "saved",
     "reprocessed",
@@ -53,6 +54,8 @@ const COUNTER_COLUMNS: [&str; 11] = [
     "batch_max",
     "wave_rounds",
     "fastpath",
+    "conflicts",
+    "affected",
 ];
 
 /// How a gated column is compared.
@@ -76,8 +79,7 @@ fn gate_of(column: &str) -> Option<Gate> {
 }
 
 /// The artifacts a trajectory document combines, in document order.
-const ARTIFACTS: [&str; 5] =
-    ["BENCH_hotpath", "BENCH_scale", "BENCH_compaction", "BENCH_storm", "BENCH_cohort"];
+const ARTIFACTS: [&str; 4] = ["BENCH_hotpath", "BENCH_scale", "BENCH_storm", "BENCH_cohort"];
 
 fn artifacts_dir() -> PathBuf {
     std::env::var_os("EXPERIMENTS_DIR")
@@ -90,8 +92,8 @@ fn read_artifact(name: &str) -> Result<String, String> {
     let path = artifacts_dir().join(format!("{name}.json"));
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
-            "cannot read {} (run exp_hotpath, exp_scale, exp_compaction, exp_storm and \
-             exp_cohort first): {e}",
+            "cannot read {} (run exp_hotpath, exp_scale, exp_storm and exp_cohort \
+             first): {e}",
             path.display()
         )
     })?;
@@ -204,7 +206,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = None;
     let mut baseline_path = None;
-    let mut out = PathBuf::from("BENCH_pr13.json");
+    let mut out = PathBuf::from("BENCH_pr14.json");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {

@@ -21,7 +21,8 @@
 //! cycle lies inside the cone, so back-out sets are the same as on the
 //! full graph (see [`PrecedenceGraph::build_with_base_cache`]).
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 
 use histmerge_txn::{TxnId, TxnKind};
@@ -550,23 +551,24 @@ impl PrecedenceGraph {
                 }
             }
         }
+        // Deterministic tie-break: base nodes first, then lowest index —
+        // the min-heap pops the least `(is_tentative, index)` ready node.
+        let key = |i: usize| Reverse((self.kinds[i] != TxnKind::Base, i));
+        let mut ready: BinaryHeap<_> =
+            (0..n).filter(|&i| alive[i] && indegree[i] == 0).map(key).collect();
         let mut order = Vec::with_capacity(n);
-        let mut emitted = vec![false; n];
-        let alive_count = alive.iter().filter(|a| **a).count();
-        loop {
-            // Deterministic tie-break: base nodes first, then lowest index.
-            let next = (0..n)
-                .filter(|&i| alive[i] && !emitted[i] && indegree[i] == 0)
-                .min_by_key(|&i| (self.kinds[i] != TxnKind::Base, i));
-            let Some(i) = next else { break };
-            emitted[i] = true;
+        while let Some(Reverse((_, i))) = ready.pop() {
             order.push(self.nodes[i]);
             for &to in &self.succs[i] {
-                if alive[to] && !emitted[to] {
+                if alive[to] {
                     indegree[to] -= 1;
+                    if indegree[to] == 0 {
+                        ready.push(key(to));
+                    }
                 }
             }
         }
+        let alive_count = alive.iter().filter(|a| **a).count();
         (order.len() == alive_count).then_some(order)
     }
 

@@ -26,7 +26,7 @@
 use histmerge_core::merge::{MergeAssist, MergeOutcome, MergeScratch, Merger};
 use histmerge_core::CoreError;
 use histmerge_history::{BaseEdgeCache, DenseBits, SerialHistory, TxnArena};
-use histmerge_txn::{DbState, TxnId, VarSet};
+use histmerge_txn::{DbState, TxnId};
 
 /// How many worker threads the batched sync path may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,19 +131,6 @@ pub fn merge_batch(
     out.into_iter().map(|slot| slot.expect("every job merged")).collect()
 }
 
-/// The read and write footprint of a tentative history, for delta
-/// validation.
-pub fn history_footprint(arena: &TxnArena, hm: &SerialHistory) -> (VarSet, VarSet) {
-    let mut reads = VarSet::new();
-    let mut writes = VarSet::new();
-    for id in hm.iter() {
-        let t = arena.get(id);
-        reads.extend_from(t.readset());
-        writes.extend_from(t.writeset());
-    }
-    (reads, writes)
-}
-
 /// The read and write footprint of a tentative history as dense bitset
 /// unions of the arena's admission-time masks — no `VarSet` walk, no
 /// re-interning. This is the speculation-time form: the unions are
@@ -191,8 +178,21 @@ mod tests {
     use histmerge_core::merge::MergeConfig;
     use histmerge_history::fixtures::example1;
     use histmerge_history::AugmentedHistory;
-    use histmerge_txn::{Expr, ProgramBuilder, Transaction, TxnKind, VarId};
+    use histmerge_txn::{Expr, ProgramBuilder, Transaction, TxnKind, VarId, VarSet};
     use std::sync::Arc;
+
+    /// The read and write footprint of a history as `VarSet` unions: the
+    /// reference [`history_bits`] is checked against.
+    fn history_footprint(arena: &TxnArena, hm: &SerialHistory) -> (VarSet, VarSet) {
+        let mut reads = VarSet::new();
+        let mut writes = VarSet::new();
+        for id in hm.iter() {
+            let t = arena.get(id);
+            reads.extend_from(t.readset());
+            writes.extend_from(t.writeset());
+        }
+        (reads, writes)
+    }
 
     fn rw_txn(
         arena: &mut TxnArena,

@@ -18,7 +18,7 @@ use histmerge_history::{
 use histmerge_obs::{
     Phase, SessionStepKind, TickSample, TimeSeries, TraceEvent, TracerHandle, NO_PARTNER,
 };
-use histmerge_semantics::{compact, CompactionConfig, OracleStack, SemanticOracle, StaticAnalyzer};
+use histmerge_semantics::{OracleStack, SemanticOracle, StaticAnalyzer};
 use histmerge_txn::{DbState, TxnId, TxnKind};
 use histmerge_workload::canned_mix::{CannedMix, CannedMixParams};
 use histmerge_workload::cost::{
@@ -26,9 +26,7 @@ use histmerge_workload::cost::{
 };
 use histmerge_workload::generator::{ScenarioParams, TxnFactory};
 
-use crate::batch::{
-    delta_invalidates, history_bits, history_footprint, merge_batch, BatchJob, Parallelism,
-};
+use crate::batch::{delta_invalidates, history_bits, merge_batch, BatchJob, Parallelism};
 use crate::cluster::BaseCluster;
 use crate::connectivity::{AdmissionConfig, ConnectivityModel, InvalidConnectivity, LinkTrace};
 use crate::fault::{Delivery, FaultPlan, InvalidFaultRate};
@@ -145,15 +143,6 @@ pub struct SimConfig {
     /// default is the shared no-op tracer, which skips event construction
     /// entirely.
     pub tracer: TracerHandle,
-    /// The pre-merge semantic compaction pass (off by default): before a
-    /// pending history is planned, runs of conflict-clustered tentative
-    /// transactions whose cluster is isolated from the concurrent base
-    /// history are squashed into composite transactions, shrinking the
-    /// merge's input. Planning-time only — the mobile's own history and
-    /// every reprocessing path stay uncompacted, and an enabled run
-    /// commits the same base state as the plain run (the
-    /// `session_differential` suite pins this byte-identity).
-    pub compaction: CompactionConfig,
     /// The structured connectivity model shaping each mobile's link
     /// trace: reconnections drawn into a down-link epoch slide to the
     /// next up tick, and the model's trace-conditioned factor scales the
@@ -237,7 +226,6 @@ impl Default for SimConfig {
             durability: DurabilityConfig::default(),
             backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
-            compaction: CompactionConfig::default(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
             telemetry: TelemetryConfig::default(),
@@ -587,11 +575,6 @@ pub struct Simulation {
     /// The current window-start state, shared with every Strategy-2 mobile
     /// resynchronized in this window (refreshed at each window rollover).
     epoch_state_arc: Arc<DbState>,
-    /// Composite transactions minted by the pre-merge compaction pass,
-    /// mapped to their constituent ids. Metrics and resolution tracking
-    /// expand through this registry so every externally visible count
-    /// stays in original-transaction units.
-    composites: BTreeMap<TxnId, Vec<TxnId>>,
     /// Reconnects shed by admission control, as `(mobile, arrival_tick)`
     /// in arrival order. Drained FIFO ahead of fresh arrivals each tick,
     /// so every deferred mobile is admitted within
@@ -685,7 +668,6 @@ impl Simulation {
             gen_acc: 0.0,
             gen_count: 0,
             epoch_state_arc: initial_arc,
-            composites: BTreeMap::new(),
             deferred: VecDeque::new(),
             backoff_level: vec![0; n],
             backoff_rng: StdRng::seed_from_u64(config.workload.seed ^ 0xBAC0_0FF5_BAC0_0FF5),
@@ -1244,13 +1226,7 @@ impl Simulation {
         let hb_len = hb.len();
         let jobs: Vec<BatchJob> = stale
             .iter()
-            .map(|&i| {
-                // Compaction re-runs against the refreshed base slice —
-                // exactly what the serial fallback at this member's turn
-                // would see.
-                let hm = self.compact_pending(self.mobiles[i].history().clone(), &hb);
-                BatchJob { mobile: i, hm }
-            })
+            .map(|&i| BatchJob { mobile: i, hm: self.mobiles[i].history().clone() })
             .collect();
         let source = &self.source;
         let make_merger = move || build_merger(source, algorithm, fix_mode);
@@ -1339,12 +1315,7 @@ impl Simulation {
         let hb_len = hb.len();
         let jobs: Vec<BatchJob> = eligible
             .iter()
-            .map(|&i| {
-                // Compaction runs serially before the concurrent merge
-                // phase (it allocates composites into the shared arena).
-                let hm = self.compact_pending(self.mobiles[i].history().clone(), &hb);
-                BatchJob { mobile: i, hm }
-            })
+            .map(|&i| BatchJob { mobile: i, hm: self.mobiles[i].history().clone() })
             .collect();
 
         let source = &self.source;
@@ -1618,20 +1589,15 @@ impl Simulation {
             });
         }
         let clusters = self.count_clusters(hm, &hb);
-        let squashed = hm.iter().filter(|id| self.composites.contains_key(id)).count();
-        let pending = self.original_len(hm);
-        let saved = self.original_count(&outcome.saved);
-        let backed_out = self.original_count(&outcome.backed_out);
         let plan_ns = self.last_plan_ns;
         tracer.emit(|| TraceEvent::MergeSummary {
             tick,
             mobile: i,
-            pending,
-            saved,
-            backed_out,
+            pending: hm.len(),
+            saved: outcome.saved.len(),
+            backed_out: outcome.backed_out.len(),
             reprocessed: 0,
             clusters,
-            squashed,
             plan_ns,
         });
     }
@@ -1743,7 +1709,6 @@ impl Simulation {
             backed_out: 0,
             reprocessed: pending.len(),
             clusters: 0,
-            squashed: 0,
             plan_ns,
         });
     }
@@ -1765,50 +1730,6 @@ impl Simulation {
         }
         self.metrics.cohort.edge_cache_appends += suffix.len() as u64;
         self.base_edge_cache.extend(&self.arena, suffix.iter().copied());
-    }
-
-    /// Runs the pre-merge compaction pass over a pending history when
-    /// enabled, registering any composites it mints. Returns the (possibly
-    /// compacted) history the merge plans against. Planning-time only:
-    /// the mobile's persisted log and every reprocessing path stay
-    /// uncompacted. The simulation always compacts with the mask-only
-    /// oracle (`compact` passes no semantic back-end), the regime where a
-    /// compacted merge is byte-identical to the plain one.
-    fn compact_pending(&mut self, hm: SerialHistory, hb: &SerialHistory) -> SerialHistory {
-        if !self.config.compaction.enabled || hm.len() < 2 {
-            return hm;
-        }
-        let tracer = self.config.tracer.clone();
-        let span = tracer.span_start();
-        let (hb_reads, hb_writes) = history_footprint(&self.arena, hb);
-        let outcome = compact(&mut self.arena, &hm, &hb_reads, &hb_writes, &self.config.compaction);
-        tracer.span_end(Phase::Compact, span);
-        self.metrics.compaction.txns_in += outcome.txns_in as u64;
-        self.metrics.compaction.txns_out += outcome.txns_out as u64;
-        self.metrics.compaction.runs_squashed += outcome.runs_squashed as u64;
-        for (composite, members) in outcome.composites {
-            self.composites.insert(composite, members);
-        }
-        outcome.history
-    }
-
-    /// The number of original transactions behind `id`: composites count
-    /// their constituents, everything else counts itself.
-    fn original_units(&self, id: TxnId) -> usize {
-        self.composites.get(&id).map_or(1, Vec::len)
-    }
-
-    /// Sums [`Simulation::original_units`] over a resolved set, so sync
-    /// records report saved/backed-out work in original-transaction units
-    /// whether or not the planned history was compacted.
-    fn original_count(&self, ids: &[TxnId]) -> usize {
-        ids.iter().map(|id| self.original_units(*id)).sum()
-    }
-
-    /// A (possibly compacted) history's length in original-transaction
-    /// units.
-    fn original_len(&self, hm: &SerialHistory) -> usize {
-        hm.iter().map(|id| self.original_units(id)).sum()
     }
 
     /// Synchronizes mobile `i` through the legacy atomic handshake;
@@ -1842,7 +1763,7 @@ impl Simulation {
         fix_mode: FixMode,
     ) -> SyncDecision {
         let hb = self.base.base().epoch_history();
-        let hm = self.compact_pending(self.mobiles[i].history().clone(), &hb);
+        let hm = self.mobiles[i].history().clone();
         let s0 = self.base.base().epoch_state().clone();
         let hb_final = self.base.base().master().clone();
         self.sync_cache();
@@ -1894,7 +1815,6 @@ impl Simulation {
         if !valid {
             return SyncDecision::Reprocess { cause: ReprocessReason::MergeFailed };
         }
-        let hm = self.compact_pending(hm, &hb);
         let merger = self.merger(algorithm, fix_mode);
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
@@ -1962,10 +1882,10 @@ impl Simulation {
             SyncRecord {
                 tick,
                 mobile: i,
-                pending: self.original_len(hm),
+                pending: hm.len(),
                 hb_len,
-                saved: self.original_count(&outcome.saved),
-                backed_out: self.original_count(&outcome.backed_out),
+                saved: outcome.saved.len(),
+                backed_out: outcome.backed_out.len(),
                 reprocessed: 0,
                 merge_failed: false,
                 sync_ns: 0,
@@ -2068,17 +1988,6 @@ impl Simulation {
     /// re-execution); a second resolution of the same id is the
     /// idempotence violation the convergence oracle reports.
     fn mark_resolved(&mut self, id: TxnId) {
-        // A composite resolves its constituents: the double-resolution
-        // guard must keep firing if a fault path ever re-executes an
-        // original transaction whose work a composite already installed.
-        if let Some(members) = self.composites.get(&id) {
-            for member in members.clone() {
-                if !self.resolved.insert(member) {
-                    self.metrics.fault.double_resolutions += 1;
-                }
-            }
-            return;
-        }
         if !self.resolved.insert(id) {
             self.metrics.fault.double_resolutions += 1;
         }
@@ -2403,10 +2312,10 @@ impl Simulation {
                     sync: SyncRecord {
                         tick: 0, // filled at emission
                         mobile: i,
-                        pending: self.original_len(&hm),
+                        pending: hm.len(),
                         hb_len,
-                        saved: self.original_count(&outcome.saved),
-                        backed_out: self.original_count(&outcome.backed_out),
+                        saved: outcome.saved.len(),
+                        backed_out: outcome.backed_out.len(),
                         reprocessed: 0,
                         merge_failed: false,
                         sync_ns: 0,
@@ -2547,7 +2456,6 @@ mod tests {
             durability: DurabilityConfig::default(),
             backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
-            compaction: CompactionConfig::default(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
             telemetry: TelemetryConfig::default(),
@@ -2746,43 +2654,6 @@ mod tests {
         assert_eq!(m.merge_failures, 0);
         let again = Simulation::new(make()).expect("valid sim config").run();
         assert_eq!(report.final_master, again.final_master);
-    }
-
-    #[test]
-    fn compaction_squashes_without_changing_the_committed_state() {
-        use crate::metrics::CompactionStats;
-        use histmerge_workload::canned_mix::CannedMixParams;
-        let canned =
-            CannedMixParams { n_accounts: 24, n_prices: 6, seed: 41, ..Default::default() };
-        let make = |enabled: bool| {
-            let mut cfg =
-                config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 200 }, 41);
-            cfg.canned = Some(canned.clone());
-            cfg.mobile_rate = 0.4; // longer pending runs, more squash room
-            if enabled {
-                cfg.compaction = CompactionConfig::enabled();
-            }
-            cfg
-        };
-        let plain = Simulation::new(make(false)).expect("valid sim config").run();
-        let squashed = Simulation::new(make(true)).expect("valid sim config").run();
-        // The committed outcome is byte-identical; only the planning
-        // mechanism (and its cost accounting) changed.
-        assert_eq!(plain.final_master, squashed.final_master);
-        assert_eq!(plain.base_commits, squashed.base_commits);
-        let c = squashed.metrics.compaction;
-        assert!(c.runs_squashed > 0, "canned banking squashed nothing: {c:?}");
-        assert!(c.txns_out < c.txns_in, "no shrink: {c:?}");
-        assert_eq!(plain.metrics.compaction, CompactionStats::default());
-        // Sync records stay in original-transaction units.
-        for (a, b) in plain.metrics.records.iter().zip(&squashed.metrics.records) {
-            assert_eq!((a.tick, a.mobile, a.pending), (b.tick, b.mobile, b.pending));
-            assert_eq!(
-                (a.saved, a.backed_out, a.reprocessed),
-                (b.saved, b.backed_out, b.reprocessed)
-            );
-        }
-        assert_eq!(plain.metrics.records.len(), squashed.metrics.records.len());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! wall-clock `sync_ns`, the cost totals, and the outcome counters
 //! (saved, backed-out, reprocessed, syncs, merge failures, window misses,
 //! speculative hits and retries, and the storm and fault blocks). Wall
-//! time and mechanism counters (`sched`, `cohort`, `wal`, compaction) stay
-//! out, so removing or renaming a mechanism counter cannot move a digest.
+//! time and mechanism counters (`sched`, `cohort`, `wal`) stay out, so
+//! removing or renaming a mechanism counter cannot move a digest.
 //!
 //! The base commit-id order is read from a second, durability-enabled run
 //! of the same scenario (only a durable run reports its commit log).

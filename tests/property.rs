@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over randomly drawn scenarios and
 //! oracle queries.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ use histmerge::history::{
     SerialHistory, TwoCycleOptimal, TxnArena,
 };
 use histmerge::semantics::{satisfies_property1, RandomizedTester, SemanticOracle, StaticAnalyzer};
-use histmerge::txn::{TxnKind, VarSet};
+use histmerge::txn::{TxnId, TxnKind, VarSet};
 use histmerge::workload::generator::{generate, ScenarioParams};
 
 fn arb_params() -> impl Strategy<Value = ScenarioParams> {
@@ -72,8 +72,70 @@ fn arb_cone_params() -> impl Strategy<Value = ScenarioParams> {
         })
 }
 
+/// The quadratic Kahn scan the Theorem-1 witness sort replaced: every
+/// step rescans all nodes for the ready one with the least
+/// `(is tentative, node index)`. `None` if the graph minus `removed` has
+/// a cycle.
+fn reference_witness(graph: &PrecedenceGraph, removed: &BTreeSet<TxnId>) -> Option<Vec<TxnId>> {
+    let nodes = graph.nodes();
+    let n = nodes.len();
+    let index: HashMap<TxnId, usize> = nodes.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+    let alive: Vec<bool> = nodes.iter().map(|id| !removed.contains(id)).collect();
+    let edges: BTreeSet<(usize, usize)> =
+        graph.edges().iter().map(|(from, to, _)| (index[from], index[to])).collect();
+    let mut indegree = vec![0usize; n];
+    for &(from, to) in &edges {
+        if alive[from] && alive[to] {
+            indegree[to] += 1;
+        }
+    }
+    let mut emitted = vec![false; n];
+    let mut order = Vec::new();
+    loop {
+        let next = (0..n)
+            .filter(|&i| alive[i] && !emitted[i] && indegree[i] == 0)
+            .min_by_key(|&i| (graph.kind(nodes[i]) != Some(TxnKind::Base), i));
+        let Some(i) = next else { break };
+        emitted[i] = true;
+        order.push(nodes[i]);
+        for &(_, to) in edges.range((i, 0)..(i + 1, 0)) {
+            if alive[to] && !emitted[to] {
+                indegree[to] -= 1;
+            }
+        }
+    }
+    (order.len() == alive.iter().filter(|a| **a).count()).then_some(order)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The heap-based witness sort emits exactly the reference scan's
+    /// order — or reports the same cycle — on the full graph (often
+    /// cyclic), on it minus a random node subset, and on it minus a
+    /// back-out set (always acyclic).
+    #[test]
+    fn witness_sort_matches_the_reference_scan(
+        params in arb_cone_params(),
+        mask in 0u64..u64::MAX,
+    ) {
+        let sc = generate(&params);
+        let graph = PrecedenceGraph::build(&sc.arena, &sc.hm, &sc.hb);
+        let subset: BTreeSet<TxnId> = graph
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask >> (i % 64) & 1 == 1)
+            .map(|(_, id)| *id)
+            .collect();
+        let backout = GreedyScc::new().compute(&graph, &|_| 1).unwrap();
+        for removed in [BTreeSet::new(), subset, backout] {
+            let witness = graph
+                .merged_history_without(&removed)
+                .map(|h| h.iter().collect::<Vec<TxnId>>());
+            prop_assert_eq!(witness, reference_witness(&graph, &removed));
+        }
+    }
 
     /// A graph built from a base-edge cache (over a prefix of the cached
     /// base history) computes the same back-out set as the from-scratch

@@ -1,10 +1,10 @@
 //! Differential test of the resumable session path and of every
 //! observation-only layer: every simulation scenario from
-//! `tests/simulation.rs` runs seven ways, and all of them must agree
+//! `tests/simulation.rs` runs six ways, and all of them must agree
 //! byte-for-byte — same final master, same commit counts, same per-sync
 //! records, same cost totals. `Metrics::normalized` exempts only wall
 //! time (`parallel_merge_ns`, each record's `sync_ns`) and the mechanism
-//! and volume blocks (`sched`, `cohort`, `compaction`, `wal`).
+//! and volume blocks (`sched`, `cohort`, `wal`).
 //!
 //! 1. The reference: the legacy atomic handshake (`SyncPath::Legacy`).
 //! 2. The resumable session path with `FaultPlan::none()`.
@@ -12,18 +12,13 @@
 //!    observation-only.
 //! 4. The session path with a flight-recorder ring tracer attached:
 //!    tracing is observation-only.
-//! 5. The session path with the pre-merge compactor: squashing pending
-//!    runs into composites changes what a merge *costs* (fewer, fatter
-//!    transactions), but not one committed byte — so this run is compared
-//!    with the cost-model outputs (cost totals, backlog trajectory) masked
-//!    out and everything else held to the same bar.
-//! 6. The structured connectivity layer spelled out: an explicit
+//! 5. The structured connectivity layer spelled out: an explicit
 //!    `ConnectivityModel::AlwaysOn` with unbounded admission AND a
 //!    saturated duty cycle (`on_ticks == period`, exercising the
 //!    non-trivial trace arithmetic) must both be the identity — the model
 //!    adjusts schedules *after* the cadence draws, it never consumes or
 //!    adds randomness.
-//! 7. Full fleet telemetry (the per-tick time-series collector plus merge
+//! 6. Full fleet telemetry (the per-tick time-series collector plus merge
 //!    autopsies, on top of the flight-recorder ring): telemetry reads
 //!    simulation state after the fact, so the fully instrumented run must
 //!    hold to the same bar while the series fills and every sync closes an
@@ -36,13 +31,10 @@
 use std::sync::Arc;
 
 use histmerge::obs::{FlightRecorder, TimeSeries, TracerHandle};
-use histmerge::replication::metrics::Metrics;
 use histmerge::replication::{
     AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultStats, Protocol,
     SimConfig, SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
 };
-use histmerge::semantics::CompactionConfig;
-use histmerge::workload::cost::CostReport;
 use histmerge::workload::generator::ScenarioParams;
 
 fn workload(seed: u64) -> ScenarioParams {
@@ -74,8 +66,8 @@ fn config(protocol: Protocol, seed: u64) -> SimConfig {
 }
 
 /// Runs `config` through both paths — and the session path again with
-/// durability enabled, with a flight-recorder ring attached, with the
-/// compactor, with explicit connectivity defaults, and with full fleet
+/// durability enabled, with a flight-recorder ring attached, with
+/// explicit connectivity defaults, and with full fleet
 /// telemetry (time-series + autopsies) — and asserts the reports are
 /// identical.
 fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
@@ -88,12 +80,7 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     let mut durable_config = config.clone();
     durable_config.durability = DurabilityConfig { enabled: true, checkpoint_every: 96 };
     let durable = Simulation::new(durable_config).expect("valid sim config").run();
-    // Fifth run: the pre-merge compactor squashes pending histories
-    // before they are planned.
-    let mut squash_config = config.clone();
-    squash_config.compaction = CompactionConfig::enabled();
-    let squashed = Simulation::new(squash_config).expect("valid sim config").run();
-    // Sixth run: the structured connectivity layer spelled out
+    // Fifth run: the structured connectivity layer spelled out
     // explicitly — AlwaysOn + unbounded admission (the defaults, made
     // loud) and a saturated duty cycle whose every `next_up` is the
     // identity. Neither may move a single byte.
@@ -105,7 +92,7 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     saturated_config.connectivity =
         ConnectivityModel::DutyCycle { period: 16, on_ticks: 16, seed: 1717 };
     let saturated = Simulation::new(saturated_config).expect("valid sim config").run();
-    // Seventh run: the full fleet telemetry — per-tick time-series
+    // Sixth run: the full fleet telemetry — per-tick time-series
     // collection and merge autopsies on top of the flight-recorder ring.
     // Telemetry reads simulation state after the fact, so the fully
     // instrumented run must stay byte-identical too.
@@ -175,28 +162,6 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
         let convergence = candidate.convergence.expect("session run checked convergence");
         assert!(convergence.holds(), "{label}/{path}: convergence oracle failed: {convergence:?}");
     }
-    // The compacted run holds to the same bar with the cost model masked
-    // out: planning against squashed histories legitimately changes cost
-    // totals and the backlog trajectory derived from them, but must not
-    // change one committed byte, a single per-sync record (kept in
-    // original-transaction units), or any other counter.
-    assert_eq!(legacy.final_master, squashed.final_master, "{label}/compaction: master diverged");
-    assert_eq!(legacy.base_commits, squashed.base_commits, "{label}/compaction: commits diverged");
-    assert_eq!(legacy.cluster, squashed.cluster, "{label}/compaction: cluster stats diverged");
-    let mask_cost = |m: &Metrics| {
-        let mut m = m.normalized();
-        m.cost = CostReport::default();
-        m.peak_backlog = 0.0;
-        m.backlog_series.clear();
-        m
-    };
-    assert_eq!(
-        mask_cost(&legacy.metrics),
-        mask_cost(&squashed.metrics),
-        "{label}/compaction: metrics diverged beyond the cost model"
-    );
-    let convergence = squashed.convergence.expect("compacted run checked convergence");
-    assert!(convergence.holds(), "{label}/compaction: convergence oracle failed: {convergence:?}");
     // The durable run actually logged, and every acked session's ledger
     // record was pruned (the fault-free run acks everything).
     assert!(durable.metrics.wal.records > 0, "{label}: WAL never written");
