@@ -22,7 +22,6 @@ fn config() -> SimConfig {
         strategy: SyncStrategy::AdaptiveWindow { max_hb: 64 },
         workload: ScenarioParams { n_vars: 128, seed: 23, ..ScenarioParams::default() },
         base_capacity: 5_000.0,
-        backlog_sample_every: 0,
         ..SimConfig::default()
     }
 }

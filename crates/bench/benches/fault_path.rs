@@ -1,20 +1,16 @@
-//! Criterion bench: the session sync path vs the legacy handshake.
+//! Criterion bench: the price of fault recovery on the session path.
 //!
-//! Times the full simulation three ways — legacy atomic handshake,
-//! resumable sessions with `FaultPlan::none()`, and resumable sessions at
-//! a 10% uniform fault rate. The first two should be indistinguishable
-//! (the fault-free session path is the same plan/apply pipeline plus a
-//! ledger insert per sync); the third prices the recovery machinery
-//! (retries, ledger resumes, re-offered sessions).
+//! Times the full simulation two ways — resumable sessions with
+//! `FaultPlan::none()`, and resumable sessions at a 10% uniform fault
+//! rate. The difference prices the recovery machinery (retries, ledger
+//! resumes, re-offered sessions).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use histmerge_replication::{
-    FaultPlan, FaultRates, Protocol, SimConfig, Simulation, SyncPath, SyncStrategy,
-};
+use histmerge_replication::{FaultPlan, FaultRates, Protocol, SimConfig, Simulation, SyncStrategy};
 use histmerge_workload::generator::ScenarioParams;
 
-fn config(sync_path: SyncPath, fault: FaultPlan) -> SimConfig {
+fn config(fault: FaultPlan) -> SimConfig {
     SimConfig {
         n_mobiles: 4,
         duration: 300,
@@ -33,7 +29,6 @@ fn config(sync_path: SyncPath, fault: FaultPlan) -> SimConfig {
             seed: 7,
             ..ScenarioParams::default()
         },
-        sync_path,
         fault,
         ..SimConfig::default()
     }
@@ -43,24 +38,13 @@ fn bench_fault_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_path");
     group.sample_size(10);
 
-    // Sanity: fault-free sessions reproduce the legacy run.
-    let legacy = Simulation::new(config(SyncPath::Legacy, FaultPlan::none()))
-        .expect("valid sim config")
-        .run();
-    let session = Simulation::new(config(SyncPath::Session, FaultPlan::none()))
-        .expect("valid sim config")
-        .run();
-    assert_eq!(legacy.final_master, session.final_master);
-    assert_eq!(legacy.metrics.normalized(), session.metrics.normalized());
-
     let variants = [
-        ("legacy", SyncPath::Legacy, FaultPlan::none()),
-        ("session-fault-free", SyncPath::Session, FaultPlan::none()),
-        ("session-10pct-faults", SyncPath::Session, FaultPlan::seeded(7, FaultRates::uniform(0.1))),
+        ("session-fault-free", FaultPlan::none()),
+        ("session-10pct-faults", FaultPlan::seeded(7, FaultRates::uniform(0.1))),
     ];
-    for (label, path, fault) in variants {
-        group.bench_with_input(BenchmarkId::new("run", label), &(path, fault), |b, &(p, f)| {
-            b.iter(|| black_box(Simulation::new(config(p, f)).expect("valid sim config").run()));
+    for (label, fault) in variants {
+        group.bench_with_input(BenchmarkId::new("run", label), &fault, |b, &f| {
+            b.iter(|| black_box(Simulation::new(config(f)).expect("valid sim config").run()));
         });
     }
     group.finish();

@@ -12,7 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use histmerge_replication::{
-    recover, DurabilityConfig, FaultPlan, Protocol, SimConfig, Simulation, SyncPath, SyncStrategy,
+    recover, DurabilityConfig, FaultPlan, Protocol, SimConfig, Simulation, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -35,7 +35,6 @@ fn config(durability: DurabilityConfig) -> SimConfig {
             seed: 7,
             ..ScenarioParams::default()
         },
-        sync_path: SyncPath::Session,
         fault: FaultPlan::none(),
         durability,
         ..SimConfig::default()

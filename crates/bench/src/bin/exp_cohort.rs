@@ -42,7 +42,7 @@
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
 use histmerge_replication::{
     AdmissionConfig, ConnectivityModel, Parallelism, Protocol, RetryBackoff, SessionConfig,
-    SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
+    SimConfig, SimReport, Simulation, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -73,7 +73,6 @@ fn cohort_config(fleet: usize) -> SimConfig {
         // same worker count on any host, single-core CI included.
         parallelism: Parallelism::Threads(4),
         synchronized_reconnects: true,
-        backlog_sample_every: 0,
         ..SimConfig::default()
     }
 }
@@ -100,9 +99,7 @@ fn herd_config(fleet: usize, outage: u64) -> SimConfig {
             ..ScenarioParams::default()
         },
         base_capacity: 10_000.0,
-        sync_path: SyncPath::Session,
         session: SessionConfig { backoff: RetryBackoff::enabled(), ..SessionConfig::default() },
-        backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: 100,
             outage_ticks: outage,

@@ -22,8 +22,7 @@
 
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
 use histmerge_replication::{
-    recover, DurabilityConfig, FaultPlan, Protocol, SimConfig, SimReport, Simulation, SyncPath,
-    SyncStrategy,
+    recover, DurabilityConfig, FaultPlan, Protocol, SimConfig, SimReport, Simulation, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -48,7 +47,6 @@ fn config(seed: u64, durability: DurabilityConfig) -> SimConfig {
             seed,
             ..ScenarioParams::default()
         },
-        sync_path: SyncPath::Session,
         fault: FaultPlan::none(),
         check_convergence: true,
         durability,

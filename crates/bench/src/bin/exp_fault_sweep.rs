@@ -1,6 +1,6 @@
 //! E15 — fault-injected resumable sync sessions.
 //!
-//! Two sweeps over the session path (`SyncPath::Session`):
+//! Two sweeps over the session path:
 //!
 //! 1. a uniform fault-rate sweep (every kind at probability `p`): how much
 //!    of merging's work saving survives as the transport and the base get
@@ -18,8 +18,7 @@
 
 use histmerge_bench::{artifact_json, fmt, write_artifact, Table};
 use histmerge_replication::{
-    FaultKind, FaultPlan, FaultRates, Protocol, SimConfig, SimReport, Simulation, SyncPath,
-    SyncStrategy,
+    FaultKind, FaultPlan, FaultRates, Protocol, SimConfig, SimReport, Simulation, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -44,7 +43,6 @@ fn config(seed: u64, fault: FaultPlan) -> SimConfig {
             seed,
             ..ScenarioParams::default()
         },
-        sync_path: SyncPath::Session,
         fault,
         check_convergence: true,
         ..SimConfig::default()

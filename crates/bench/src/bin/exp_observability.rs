@@ -27,7 +27,7 @@ use std::time::Instant;
 use histmerge_bench::{artifact_json, fmt, write_artifact, Table};
 use histmerge_obs::{FlightRecorder, JsonlSink, Phase, RegistrySnapshot, TracerHandle};
 use histmerge_replication::{
-    DurabilityConfig, FaultPlan, Protocol, SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
+    DurabilityConfig, FaultPlan, Protocol, SimConfig, SimReport, Simulation, SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -54,7 +54,6 @@ fn config(seed: u64, tracer: TracerHandle) -> SimConfig {
             seed,
             ..ScenarioParams::default()
         },
-        sync_path: SyncPath::Session,
         fault: FaultPlan::none(),
         check_convergence: true,
         durability: DurabilityConfig { enabled: true, checkpoint_every: 128 },

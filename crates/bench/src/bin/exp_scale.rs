@@ -99,7 +99,6 @@ fn scale_config(fleet: usize, seed: u64) -> SimConfig {
         strategy: SyncStrategy::AdaptiveWindow { max_hb: 64 },
         workload: workload_seeded(seed),
         base_capacity: 10_000.0,
-        backlog_sample_every: 0,
         ..SimConfig::default()
     }
 }
@@ -121,7 +120,6 @@ fn merge_config(fleet: usize) -> SimConfig {
         base_capacity: 10_000.0,
         parallelism: Parallelism::Auto,
         synchronized_reconnects: true,
-        backlog_sample_every: 0,
         ..SimConfig::default()
     }
 }

@@ -44,7 +44,7 @@
 use histmerge_bench::{artifact_json, fmt, timed, write_artifact, Table};
 use histmerge_replication::{
     AdmissionConfig, ConnectivityModel, Protocol, RetryBackoff, SimConfig, SimReport, Simulation,
-    SyncPath, SyncStrategy,
+    SyncStrategy,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -72,8 +72,6 @@ fn config(fleet: usize, outage: u64, admission: AdmissionConfig) -> SimConfig {
             ..ScenarioParams::default()
         },
         base_capacity: 10_000.0,
-        sync_path: SyncPath::Session,
-        backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: STORM_START,
             outage_ticks: outage,

@@ -37,7 +37,7 @@ use histmerge_bench::{artifact_json, experiments_path, fmt, write_artifact, Tabl
 use histmerge_obs::{export, FlightRecorder, TimeSeries, TracerHandle};
 use histmerge_replication::{
     AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, Protocol, SimConfig,
-    SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
+    SimReport, Simulation, SyncStrategy, TelemetryConfig,
 };
 use histmerge_workload::generator::ScenarioParams;
 
@@ -75,7 +75,6 @@ fn overhead_config(seed: u64, tracer: TracerHandle, telemetry: TelemetryConfig) 
             seed,
             ..ScenarioParams::default()
         },
-        sync_path: SyncPath::Session,
         fault: FaultPlan::none(),
         check_convergence: true,
         durability: DurabilityConfig { enabled: true, checkpoint_every: 128 },
@@ -292,8 +291,6 @@ fn storm_config(fleet: usize, tracer: TracerHandle, telemetry: TelemetryConfig) 
             ..ScenarioParams::default()
         },
         base_capacity: 10_000.0,
-        sync_path: SyncPath::Session,
-        backlog_sample_every: 0,
         connectivity: ConnectivityModel::OutageStorm {
             start: 100,
             outage_ticks: 60,

@@ -13,8 +13,7 @@
 //! The result is byte-identical to the serial path (see the determinism
 //! test and DESIGN.md for the argument).
 //!
-//! Under the resumable session path (`SyncPath::Session`) the same
-//! speculative outcomes feed the per-mobile session state machines: a
+//! The speculative outcomes feed the per-mobile session state machines: a
 //! member's speculation is validated at its session's merge step and
 //! retained across mid-merge disconnects like any other computed
 //! decision, so the pipeline composes with fault injection unchanged.

@@ -26,16 +26,14 @@
 //! lets the scale harness (E19) run million-mobile fleets without paying
 //! O(fleet) per tick.
 //!
-//! Reconnections can run through two interchangeable paths
-//! ([`SyncPath`]): the legacy atomic in-process handshake, or the
-//! resumable [`session`] protocol (offer → merge → install → re-execute →
-//! ack) whose individually idempotent steps survive the faults a
-//! deterministic [`fault::FaultPlan`] injects — message loss, duplication
-//! and reordering, mid-merge disconnects, and base crashes between
-//! install and re-execution. Fault-free session runs are byte-identical
-//! to legacy runs; faulted runs are audited by a convergence oracle
-//! ([`ConvergenceReport`]) that replays the recorded commit order through
-//! the serial path.
+//! Every reconnection runs the resumable [`session`] protocol (offer →
+//! merge → install → re-execute → ack), whose individually idempotent
+//! steps survive the faults a deterministic [`fault::FaultPlan`] injects —
+//! message loss, duplication and reordering, mid-merge disconnects, and
+//! base crashes between install and re-execution. Under
+//! [`fault::FaultPlan::none`] every step runs once; faulted runs are
+//! audited by a convergence oracle ([`ConvergenceReport`]) that replays
+//! the recorded commit order through the serial path.
 //!
 //! The base tier's durable transitions can additionally be written to a
 //! real segmented, CRC32-framed write-ahead log ([`wal`]) and recovered —

@@ -5,7 +5,7 @@ use serde::Serialize;
 use histmerge_workload::cost::CostReport;
 
 /// Counters of injected faults and the recovery machinery they exercised.
-/// All zero on the legacy path and under [`FaultPlan::none`].
+/// All zero under [`FaultPlan::none`].
 ///
 /// [`FaultPlan::none`]: crate::fault::FaultPlan::none
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -46,14 +46,16 @@ pub struct FaultStats {
     /// than once — any non-zero value is a protocol-idempotence bug.
     pub double_resolutions: usize,
     /// Session resumptions that found their ledger record missing and
-    /// degraded to legacy reprocessing instead of aborting the run.
+    /// degraded to plain reprocessing instead of aborting the run.
     pub ledger_gaps: usize,
 }
 
-/// Write-ahead-log counters (durability enabled only; all zero
-/// otherwise). WAL volume depends on checkpoint cadence, not on the
-/// logical outcome of the run, so [`Metrics::normalized`] zeroes the
-/// whole block for byte-identity comparisons.
+/// Write-ahead-log and session-ledger counters. Every counter except
+/// `pruned_records` needs durability enabled and is zero otherwise;
+/// `pruned_records` counts ledger prunes in every run. WAL volume depends
+/// on checkpoint cadence, not on the logical outcome of the run, so
+/// [`Metrics::normalized`] zeroes the whole block for byte-identity
+/// comparisons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct WalStats {
     /// Records appended (checkpoints included).
@@ -64,7 +66,8 @@ pub struct WalStats {
     pub checkpoints: u64,
     /// Segments retired by checkpoint compaction.
     pub segments_retired: u64,
-    /// Session-ledger records pruned after their mobile's ack.
+    /// Session-ledger records pruned after their mobile's ack. Counted
+    /// whether or not a WAL is open.
     pub pruned_records: u64,
     /// In-run shadow recoveries: simulated base crashes where the durable
     /// state was recovered from the WAL and checked against the live
@@ -179,9 +182,6 @@ pub struct Metrics {
     pub cost: CostReport,
     /// Peak base-node work backlog (pending base work units).
     pub peak_backlog: f64,
-    /// Base-node backlog sampled every 10 ticks: `(tick, backlog)` — the
-    /// time series behind the scale-up figure (E6).
-    pub backlog_series: Vec<(u64, f64)>,
     /// Per-sync records, in time order.
     pub records: Vec<SyncRecord>,
     /// Size of each reconnect batch (mobiles syncing in the same tick), in
@@ -200,9 +200,9 @@ pub struct Metrics {
     /// after-states in place, so replay-based convergence checks do not
     /// apply to runs where this is non-zero).
     pub retro_patches: usize,
-    /// Injected-fault and recovery counters (session path only).
+    /// Injected-fault and recovery counters.
     pub fault: FaultStats,
-    /// Write-ahead-log counters (durability enabled only). Volume-only —
+    /// Write-ahead-log and ledger-prune counters. Volume-only —
     /// excluded from determinism comparisons.
     pub wal: WalStats,
     /// Scheduler counters. Mechanism-only — excluded from determinism
@@ -307,7 +307,6 @@ impl Metrics {
             self.cost.comm, self.cost.base_cpu, self.cost.base_io, self.cost.mobile_cpu
         ));
         out.push_str(&format!(",\"peak_backlog\":{:.3}", self.peak_backlog));
-        out.push_str(&format!(",\"backlog_samples\":{}", self.backlog_series.len()));
         out.push_str(&format!(",\"records\":{}", self.records.len()));
         out.push_str(&format!(",\"batches\":{}", self.batch_sizes.len()));
         out.push_str(&format!(",\"parallel_merge_ns\":{}", self.parallel_merge_ns));
@@ -429,7 +428,6 @@ mod tests {
     #[test]
     fn empty_metrics_ratio_is_zero() {
         assert_eq!(Metrics::default().save_ratio(), 0.0);
-        assert!(Metrics::default().backlog_series.is_empty());
     }
 
     #[test]
@@ -491,9 +489,9 @@ mod tests {
 
     #[test]
     fn normalized_strips_wal_volume() {
-        // A durability-enabled run differs from the legacy run only in
+        // A durability-enabled run differs from the plain run only in
         // WAL counters; normalization must erase exactly that difference.
-        let legacy = Metrics::default();
+        let plain = Metrics::default();
         let durable = Metrics {
             wal: WalStats {
                 records: 100,
@@ -505,8 +503,8 @@ mod tests {
             },
             ..Metrics::default()
         };
-        assert_ne!(legacy, durable);
-        assert_eq!(legacy.normalized(), durable.normalized());
+        assert_ne!(plain, durable);
+        assert_eq!(plain.normalized(), durable.normalized());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The resumable sync-session protocol.
 //!
-//! The legacy sync path modeled a reconnection as one atomic, infallible
-//! in-process call — a mobile that drops mid-merge was unrepresentable.
-//! This module splits the handshake into an explicit five-step session
+//! Every reconnection runs the paper's protocol (merge, back out,
+//! rewrite, prune, forward the saved updates, re-execute the backed-out
+//! transactions) as an explicit five-step session
 //!
 //! ```text
 //! offer → merge → install → re-execute → ack

@@ -114,12 +114,12 @@ pub struct SimConfig {
     /// (`connect_every`, no jitter), so reconnections arrive in batches —
     /// the regime the parallel merge pipeline targets.
     pub synchronized_reconnects: bool,
-    /// Which reconnection machinery runs: the legacy atomic handshake or
-    /// the resumable session protocol. With [`FaultPlan::none`] the two
-    /// are byte-identical.
+    /// Selects nothing: every reconnection runs the session protocol.
+    /// The field exists only so that configurations which still set
+    /// `sync_path: SyncPath::Session` keep compiling.
     pub sync_path: SyncPath,
-    /// The fault schedule injected into session handshakes (ignored on the
-    /// legacy path, which cannot represent faults).
+    /// The fault schedule injected into every reconnection's session
+    /// handshake. [`FaultPlan::none`] runs every session fault-free.
     pub fault: FaultPlan,
     /// Session-protocol knobs (retry budget).
     pub session: SessionConfig,
@@ -133,9 +133,6 @@ pub struct SimConfig {
     /// checks. Logging is observation-only — a durability-enabled run is
     /// byte-identical to the same run without it.
     pub durability: DurabilityConfig,
-    /// Sample the base backlog every this many ticks into
-    /// [`Metrics::backlog_series`]. `0` disables sampling.
-    pub backlog_sample_every: u64,
     /// The trace sink every layer of the run reports to: merge steps,
     /// session steps, injected faults, WAL appends, recovery replays, and
     /// phase spans. Tracing is observation-only — a traced run's
@@ -219,12 +216,11 @@ impl Default for SimConfig {
             canned: None,
             parallelism: Parallelism::Auto,
             synchronized_reconnects: false,
-            sync_path: SyncPath::Legacy,
+            sync_path: SyncPath::Session,
             fault: FaultPlan::none(),
             session: SessionConfig::default(),
             check_convergence: false,
             durability: DurabilityConfig::default(),
-            backlog_sample_every: 10,
             tracer: TracerHandle::noop(),
             connectivity: ConnectivityModel::AlwaysOn,
             admission: AdmissionConfig::unbounded(),
@@ -489,7 +485,7 @@ enum ReprocessReason {
     /// or the merge itself was rejected).
     MergeFailed,
     /// A session resumption found no ledger record and degraded to
-    /// legacy reprocessing.
+    /// plain reprocessing.
     LedgerGap,
 }
 
@@ -514,7 +510,7 @@ impl ReprocessReason {
 
 /// A session resumption found no ledger record for `(mobile, seq)` — the
 /// structured form of what used to be a panic. The caller degrades the
-/// session to legacy reprocessing and counts the gap in
+/// session to plain reprocessing and counts the gap in
 /// [`crate::metrics::FaultStats::ledger_gaps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LedgerGap {
@@ -907,10 +903,6 @@ impl Simulation {
         if self.backlog > self.metrics.peak_backlog {
             self.metrics.peak_backlog = self.backlog;
         }
-        let every = self.config.backlog_sample_every;
-        if every > 0 && tick.is_multiple_of(every) {
-            self.metrics.backlog_series.push((tick, self.backlog));
-        }
 
         // Fleet telemetry: one bounded time-series sample per collector
         // stride. Observation-only — reads state, touches nothing.
@@ -1170,10 +1162,7 @@ impl Simulation {
             let spec = speculated.remove(&i);
             let before = self.metrics.records.len();
             let span = tracer.span_start();
-            work += match self.config.sync_path {
-                SyncPath::Legacy => self.sync_mobile(i, tick, spec),
-                SyncPath::Session => self.sync_session(i, tick, spec),
-            };
+            work += self.sync_session(i, tick, spec);
             let ns = tracer.span_end(Phase::Sync, span);
             if ns > 0 {
                 // Attach the wall-clock span to the records this member
@@ -1291,7 +1280,7 @@ impl Simulation {
         // Mobiles with an unresolved prior session (or a trimmed, dirty
         // log) must run recovery before their pending set is known, so
         // they cannot speculate against a pre-batch clone of it. Both
-        // conditions are always false on the legacy path.
+        // conditions are always false in a fault-free run.
         let eligible: Vec<usize> = batch
             .iter()
             .copied()
@@ -1732,21 +1721,6 @@ impl Simulation {
         self.base_edge_cache.extend(&self.arena, suffix.iter().copied());
     }
 
-    /// Synchronizes mobile `i` through the legacy atomic handshake;
-    /// returns the base-side work units incurred.
-    fn sync_mobile(&mut self, i: usize, tick: u64, spec: Option<Speculative>) -> f64 {
-        match self.plan_sync(i, tick, spec) {
-            SyncDecision::Refresh => {
-                self.refresh_origin(i);
-                0.0
-            }
-            SyncDecision::Merge { hm, hb_len, outcome, retroactive } => {
-                self.apply_merge(i, tick, &hm, hb_len, *outcome, retroactive)
-            }
-            SyncDecision::Reprocess { cause } => self.reprocess_all(i, tick, cause),
-        }
-    }
-
     fn merger(&self, algorithm: RewriteAlgorithm, fix_mode: FixMode) -> Merger {
         build_merger(&self.source, algorithm, fix_mode)
     }
@@ -1830,70 +1804,6 @@ impl Simulation {
             },
             Err(_) => SyncDecision::Reprocess { cause: ReprocessReason::MergeFailed },
         }
-    }
-
-    /// Installs a merge outcome on the base and records metrics. Returns
-    /// base work units.
-    fn apply_merge(
-        &mut self,
-        i: usize,
-        tick: u64,
-        hm: &SerialHistory,
-        hb_len: usize,
-        outcome: MergeOutcome,
-        retroactive: bool,
-    ) -> f64 {
-        let tracer = self.config.tracer.clone();
-        // Step 5: install forwarded updates.
-        let install_span = tracer.span_start();
-        if retroactive {
-            let from = self.mobiles[i].origin_index();
-            self.base
-                .base_mut()
-                .retro_patch(&self.arena, from, &outcome.forwarded)
-                .expect("snapshot origin index lies within the base log");
-            self.metrics.retro_patches += 1;
-            self.wal_append(&WalRecord::RetroPatch {
-                from_index: from as u64,
-                updates: outcome.forwarded.clone(),
-            });
-        } else {
-            let _ = self.base.install_updates(&mut self.arena, &outcome.forwarded);
-            self.wal_sync_commits();
-        }
-        for id in &outcome.saved {
-            self.mark_resolved(*id);
-        }
-        tracer.span_end(Phase::Install, install_span);
-        // Step 6: re-execute backed-out transactions as base transactions.
-        let reexec_span = tracer.span_start();
-        let mut backed_out_stmts = 0usize;
-        for id in &outcome.backed_out {
-            backed_out_stmts += self.arena.get(*id).program().statement_count();
-            self.base.reexecute(&mut self.arena, *id);
-            self.mark_resolved(*id);
-        }
-        self.wal_sync_commits();
-        tracer.span_end(Phase::Reexecute, reexec_span);
-
-        let stats = self.merge_stats(hm, hb_len, &outcome, backed_out_stmts);
-        let cost = merging_cost(&self.config.cost, &stats);
-        self.metrics.record(
-            SyncRecord {
-                tick,
-                mobile: i,
-                pending: hm.len(),
-                hb_len,
-                saved: outcome.saved.len(),
-                backed_out: outcome.backed_out.len(),
-                reprocessed: 0,
-                merge_failed: false,
-                sync_ns: 0,
-            },
-            cost,
-        );
-        self.refresh_origin(i);
-        cost.base_cpu + cost.base_io
     }
 
     fn merge_stats(
@@ -1981,7 +1891,7 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // The resumable sync-session protocol (SyncPath::Session).
+    // The resumable sync-session protocol: every reconnection's path.
     // ------------------------------------------------------------------
 
     /// Tracks a tentative transaction's resolution (install or
@@ -2051,9 +1961,10 @@ impl Simulation {
     /// Synchronizes mobile `i` through the resumable session protocol:
     /// offer → merge → install → re-execute → ack, every step idempotent
     /// under the `(mobile, seq)` session id and individually retryable
-    /// within one bounded budget. With [`FaultPlan::none`] this composes
-    /// exactly the legacy path's primitives in the legacy order, so
-    /// fault-free runs are byte-identical.
+    /// within one bounded budget. With [`FaultPlan::none`] every roll
+    /// delivers and the session runs the paper's protocol steps once, in
+    /// order: merge, install the forwarded updates, re-execute the
+    /// backed-out transactions.
     fn sync_session(&mut self, i: usize, tick: u64, spec: Option<Speculative>) -> f64 {
         let mut work = 0.0;
         let mut retries: u32 = 0;
@@ -2225,19 +2136,23 @@ impl Simulation {
     ///
     /// A missing ledger record is reported as [`LedgerGap`] instead of
     /// panicking: a record the protocol expects can be absent after a
-    /// partial recovery, and the caller degrades to legacy reprocessing
+    /// partial recovery, and the caller degrades to plain reprocessing
     /// rather than aborting the run.
     fn resume_session(&mut self, i: usize, seq: u64, tick: u64) -> Result<f64, LedgerGap> {
-        let Some(record) = self.ledger.get(i, seq).cloned() else {
+        let Some(record) = self.ledger.get(i, seq) else {
             return Err(LedgerGap { mobile: i, seq });
         };
         if record.completed {
             return Ok(0.0);
         }
+        // The loop below updates the ledger entry, so copy out only what
+        // it reads; the forwarded values can be large and stay put.
+        let (sync, cost) = (record.sync, record.cost);
+        let start = record.reexec_done;
+        let remaining = record.plan.reexecute[start..].to_vec();
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
-        for idx in record.reexec_done..record.plan.reexecute.len() {
-            let id = record.plan.reexecute[idx];
+        for (idx, id) in (start..).zip(remaining) {
             self.base.reexecute(&mut self.arena, id);
             self.mark_resolved(id);
             if let Some(entry) = self.ledger.get_mut(i, seq) {
@@ -2261,14 +2176,12 @@ impl Simulation {
         }
         self.wal_append(&WalRecord::SessionComplete { mobile: i as u64, seq });
         tracer.span_end(Phase::Reexecute, span);
-        let mut sync = record.sync;
-        sync.tick = tick;
-        self.metrics.record(sync, record.cost);
-        Ok(record.cost.base_cpu + record.cost.base_io)
+        self.metrics.record(SyncRecord { tick, ..sync }, cost);
+        Ok(cost.base_cpu + cost.base_io)
     }
 
     /// Runs [`Simulation::resume_session`], degrading a [`LedgerGap`] to
-    /// legacy reprocessing of the mobile's pending log: the base has no
+    /// plain reprocessing of the mobile's pending log: the base has no
     /// durable memory of the session, so the safe move is the \[GHOS96\]
     /// fallback, not a crash.
     fn resume_or_degrade(&mut self, i: usize, seq: u64, tick: u64) -> f64 {
@@ -2360,10 +2273,10 @@ impl Simulation {
         }
     }
 
-    /// Protocol step 5 under the session path: commits forwarded updates
-    /// and the durable session record in one (modeled) write-ahead
-    /// transaction. An empty forwarded set (a reprocess plan) commits
-    /// nothing, exactly like the legacy path.
+    /// Protocol step 5: commits forwarded updates and the durable session
+    /// record in one (modeled) write-ahead transaction. An empty forwarded
+    /// set (a reprocess plan) commits nothing. The WAL records clone the
+    /// plan, so they are built only when a WAL is open.
     fn session_install(&mut self, i: usize, seq: u64, record: SessionRecord, tick: u64) {
         let tracer = self.config.tracer.clone();
         let span = tracer.span_start();
@@ -2373,10 +2286,12 @@ impl Simulation {
                 .retro_patch(&self.arena, from, &record.plan.forwarded)
                 .expect("snapshot origin index lies within the base log");
             self.metrics.retro_patches += 1;
-            self.wal_append(&WalRecord::RetroPatch {
-                from_index: from as u64,
-                updates: record.plan.forwarded.clone(),
-            });
+            if self.wal.is_some() {
+                self.wal_append(&WalRecord::RetroPatch {
+                    from_index: from as u64,
+                    updates: record.plan.forwarded.clone(),
+                });
+            }
         } else {
             let _ = self.base.install_updates(&mut self.arena, &record.plan.forwarded);
             self.wal_sync_commits();
@@ -2384,11 +2299,13 @@ impl Simulation {
         for idx in 0..record.plan.saved.len() {
             self.mark_resolved(record.plan.saved[idx]);
         }
-        self.wal_append(&WalRecord::SessionInstall {
-            mobile: i as u64,
-            seq,
-            record: record.clone(),
-        });
+        if self.wal.is_some() {
+            self.wal_append(&WalRecord::SessionInstall {
+                mobile: i as u64,
+                seq,
+                record: record.clone(),
+            });
+        }
         tracer.span_end(Phase::Install, span);
         let inserted = self.ledger.insert(i, seq, record);
         if inserted {
@@ -2448,17 +2365,7 @@ mod tests {
             base_nodes: 1,
             canned: None,
             parallelism: Parallelism::Auto,
-            synchronized_reconnects: false,
-            sync_path: SyncPath::Legacy,
-            fault: FaultPlan::none(),
-            session: SessionConfig::default(),
-            check_convergence: false,
-            durability: DurabilityConfig::default(),
-            backlog_sample_every: 10,
-            tracer: TracerHandle::noop(),
-            connectivity: ConnectivityModel::AlwaysOn,
-            admission: AdmissionConfig::unbounded(),
-            telemetry: TelemetryConfig::default(),
+            ..SimConfig::default()
         }
     }
 
@@ -2757,31 +2664,9 @@ mod tests {
     }
 
     #[test]
-    fn session_path_fault_free_is_byte_identical_to_legacy() {
-        for strategy in [
-            SyncStrategy::WindowStart { window: 100 },
-            SyncStrategy::AdaptiveWindow { max_hb: 20 },
-            SyncStrategy::PerDisconnectSnapshot,
-        ] {
-            let legacy_cfg = config(Protocol::merging_default(), strategy, 33);
-            let mut session_cfg = legacy_cfg.clone();
-            session_cfg.sync_path = SyncPath::Session;
-            session_cfg.fault = FaultPlan::none();
-            let legacy = Simulation::new(legacy_cfg).expect("valid sim config").run();
-            let session = Simulation::new(session_cfg).expect("valid sim config").run();
-            assert_eq!(legacy.final_master, session.final_master, "{}", strategy.name());
-            assert_eq!(legacy.base_commits, session.base_commits);
-            assert_eq!(legacy.metrics.normalized(), session.metrics.normalized());
-            assert_eq!(legacy.cluster, session.cluster);
-            assert_eq!(session.metrics.fault, crate::metrics::FaultStats::default());
-        }
-    }
-
-    #[test]
     fn session_convergence_oracle_holds_fault_free() {
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 2);
-        cfg.sync_path = SyncPath::Session;
         cfg.check_convergence = true;
         let report = Simulation::new(cfg).expect("valid sim config").run();
         let oracle = report.convergence.expect("requested");
@@ -2799,7 +2684,6 @@ mod tests {
         // the fault counters matches the fault-free run byte-for-byte.
         let mut crash_cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 19);
-        crash_cfg.sync_path = SyncPath::Session;
         crash_cfg.check_convergence = true;
         let mut clean_cfg = crash_cfg.clone();
         crash_cfg.fault =
@@ -2823,7 +2707,6 @@ mod tests {
         // holds over it.
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 23);
-        cfg.sync_path = SyncPath::Session;
         cfg.check_convergence = true;
         cfg.fault =
             FaultPlan::seeded(23, crate::fault::FaultRates::only(FaultKind::MessageLoss, 1.0));
@@ -2840,7 +2723,6 @@ mod tests {
     fn duplicated_messages_never_double_install() {
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 29);
-        cfg.sync_path = SyncPath::Session;
         cfg.check_convergence = true;
         cfg.fault = FaultPlan::seeded(
             29,
@@ -2857,9 +2739,8 @@ mod tests {
         assert_eq!(m.fault.double_resolutions, 0);
         assert!(report.convergence.unwrap().holds());
         // Dedup is absorbing: the run matches the fault-free one.
-        let mut clean =
+        let clean =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 29);
-        clean.sync_path = SyncPath::Session;
         let clean = Simulation::new(clean).expect("valid sim config").run();
         assert_eq!(report.final_master, clean.final_master);
         assert_eq!(report.metrics.records, clean.metrics.records);
@@ -2872,7 +2753,6 @@ mod tests {
         // retry through transient faults. The oracle must hold throughout.
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 150 }, 37);
-        cfg.sync_path = SyncPath::Session;
         cfg.check_convergence = true;
         cfg.fault = FaultPlan::seeded(37, crate::fault::FaultRates::uniform(0.25));
         let report = Simulation::new(cfg).expect("valid sim config").run();
@@ -2887,7 +2767,7 @@ mod tests {
     fn resume_of_a_missing_record_degrades_instead_of_panicking() {
         // Regression for the old `expect("ledger record exists")` panic:
         // a resumption aimed at a session the ledger has no record of
-        // must degrade to legacy reprocessing, not abort the run.
+        // must degrade to plain reprocessing, not abort the run.
         let mut sim = Simulation::new(config(
             Protocol::merging_default(),
             SyncStrategy::WindowStart { window: 100 },
@@ -2905,7 +2785,7 @@ mod tests {
         assert!(work >= 0.0);
         // The degradation reprocessed the mobile's pending log (empty at
         // tick 0, so the sync record shows zero transactions — but the
-        // sync did happen, through the legacy path).
+        // sync did happen, through the reprocessing fallback).
         assert_eq!(sim.metrics.syncs, 1);
         assert_eq!(sim.metrics.records[0].reprocessed, 0);
         assert_eq!(sim.metrics.fault.double_resolutions, 0);
@@ -2983,7 +2863,6 @@ mod tests {
         // in-flight sessions, not by the number of syncs.
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 43);
-        cfg.sync_path = SyncPath::Session;
         cfg.duration = 600;
         let report = Simulation::new(cfg).expect("valid sim config").run();
         assert!(report.metrics.syncs > 20, "enough sessions to matter");
@@ -2994,7 +2873,6 @@ mod tests {
         // unresolved, but never more than one per mobile.
         let mut faulted =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 43);
-        faulted.sync_path = SyncPath::Session;
         faulted.duration = 600;
         faulted.fault = FaultPlan::seeded(43, crate::fault::FaultRates::uniform(0.25));
         let report = Simulation::new(faulted).expect("valid sim config").run();
@@ -3009,34 +2887,30 @@ mod tests {
     fn durability_is_observation_only() {
         // The WAL must never change the simulation: a durability-enabled
         // run equals the plain run everywhere but the WAL counters.
-        for sync_path in [SyncPath::Legacy, SyncPath::Session] {
-            let mut plain =
-                config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 61);
-            plain.sync_path = sync_path;
-            plain.check_convergence = true;
-            let mut durable = plain.clone();
-            durable.durability = DurabilityConfig { enabled: true, checkpoint_every: 64 };
-            let a = Simulation::new(plain).expect("valid sim config").run();
-            let b = Simulation::new(durable).expect("valid sim config").run();
-            assert_eq!(a.final_master, b.final_master);
-            assert_eq!(a.base_commits, b.base_commits);
-            assert_eq!(a.cluster, b.cluster);
-            assert_eq!(a.metrics.normalized(), b.metrics.normalized());
-            assert_eq!(a.convergence, b.convergence);
-            assert!(a.durable.is_none());
-            let durable = b.durable.expect("durability enabled");
-            assert!(b.metrics.wal.records > 0);
-            assert!(b.metrics.wal.checkpoints > 0, "600+ records at interval 64");
-            assert!(b.metrics.wal.segments_retired > 0);
-            assert_eq!(durable.log.len(), b.base_commits);
-        }
+        let mut plain =
+            config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 61);
+        plain.check_convergence = true;
+        let mut durable = plain.clone();
+        durable.durability = DurabilityConfig { enabled: true, checkpoint_every: 64 };
+        let a = Simulation::new(plain).expect("valid sim config").run();
+        let b = Simulation::new(durable).expect("valid sim config").run();
+        assert_eq!(a.final_master, b.final_master);
+        assert_eq!(a.base_commits, b.base_commits);
+        assert_eq!(a.cluster, b.cluster);
+        assert_eq!(a.metrics.normalized(), b.metrics.normalized());
+        assert_eq!(a.convergence, b.convergence);
+        assert!(a.durable.is_none());
+        let durable = b.durable.expect("durability enabled");
+        assert!(b.metrics.wal.records > 0);
+        assert!(b.metrics.wal.checkpoints > 0, "600+ records at interval 64");
+        assert!(b.metrics.wal.segments_retired > 0);
+        assert_eq!(durable.log.len(), b.base_commits);
     }
 
     #[test]
     fn recovery_of_a_full_run_reproduces_the_live_state() {
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 67);
-        cfg.sync_path = SyncPath::Session;
         cfg.durability = DurabilityConfig { enabled: true, checkpoint_every: 128 };
         let report = Simulation::new(cfg).expect("valid sim config").run();
         let durable = report.durable.expect("durability enabled");
@@ -3058,7 +2932,6 @@ mod tests {
         // panics on mismatch, so this test passing IS the oracle).
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 19);
-        cfg.sync_path = SyncPath::Session;
         cfg.check_convergence = true;
         cfg.durability = DurabilityConfig { enabled: true, checkpoint_every: 64 };
         cfg.fault =
@@ -3222,7 +3095,6 @@ mod tests {
         // fits strictly more attempts — and the storm counters see them.
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 100 }, 61);
-        cfg.sync_path = SyncPath::Session;
         cfg.fault =
             FaultPlan::seeded(61, crate::fault::FaultRates::only(FaultKind::MessageLoss, 1.0));
         let flat = Simulation::new(cfg.clone()).expect("valid sim config").run();
@@ -3248,7 +3120,6 @@ mod tests {
         // convergence oracle must hold over the mixed schedule.
         let mut cfg =
             config(Protocol::merging_default(), SyncStrategy::WindowStart { window: 150 }, 67);
-        cfg.sync_path = SyncPath::Session;
         cfg.check_convergence = true;
         cfg.fault = FaultPlan::seeded(67, crate::fault::FaultRates::uniform(0.25));
         cfg.session.backoff = crate::session::RetryBackoff::enabled();

@@ -46,30 +46,21 @@ impl SyncStrategy {
     }
 }
 
-/// Which reconnection machinery the simulation drives.
+/// The reconnection path, kept only as the type of
+/// [`SimConfig::sync_path`](crate::SimConfig::sync_path).
+///
+/// It selects nothing: every reconnection runs the resumable session
+/// protocol (offer → merge → install → re-execute → ack), which injects
+/// and recovers from the faults of [`SimConfig::fault`](crate::SimConfig::fault)
+/// and runs fault-free under [`FaultPlan::none`]. The one variant exists
+/// so that configurations which still spell out `sync_path:
+/// SyncPath::Session` keep compiling.
+///
+/// [`FaultPlan::none`]: crate::fault::FaultPlan::none
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SyncPath {
-    /// The original in-process handshake: one atomic, infallible call per
-    /// reconnection. Cannot represent faults.
-    Legacy,
-    /// The resumable session protocol (offer → merge → install →
-    /// re-execute → ack) with idempotent, individually retryable steps.
-    /// With [`FaultPlan::none`] it reproduces the legacy path
-    /// byte-for-byte; with an active plan it injects and recovers from
-    /// transport and crash faults.
-    ///
-    /// [`FaultPlan::none`]: crate::fault::FaultPlan::none
+    /// The resumable session protocol — the only reconnection path.
     Session,
-}
-
-impl SyncPath {
-    /// Short name for experiment reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SyncPath::Legacy => "legacy",
-            SyncPath::Session => "session",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +72,5 @@ mod tests {
         assert_eq!(SyncStrategy::PerDisconnectSnapshot.name(), "strategy1-per-disconnect");
         assert_eq!(SyncStrategy::WindowStart { window: 100 }.name(), "strategy2-window");
         assert_eq!(SyncStrategy::AdaptiveWindow { max_hb: 50 }.name(), "strategy2-adaptive");
-        assert_eq!(SyncPath::Legacy.name(), "legacy");
-        assert_eq!(SyncPath::Session.name(), "session");
     }
 }

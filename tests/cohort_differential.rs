@@ -8,7 +8,7 @@
 
 use histmerge::replication::{
     AdmissionConfig, FaultKind, FaultPlan, FaultRates, Parallelism, Protocol, SimConfig, SimReport,
-    Simulation, SyncPath, SyncStrategy,
+    Simulation, SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -99,7 +99,6 @@ fn seed_matrix_convergence_with_waves() {
         for s in 0..seeds {
             let rate = RATES[(s as usize) % RATES.len()];
             let mut cfg = config(6, 900 + s, 0.6);
-            cfg.sync_path = SyncPath::Session;
             cfg.fault = FaultPlan::seeded(7000 + s, FaultRates::only(kind, rate));
             cfg.admission = AdmissionConfig::bounded(3);
             cfg.check_convergence = true;

@@ -19,8 +19,7 @@
 use proptest::prelude::*;
 
 use histmerge::replication::{
-    AdmissionConfig, ConnectivityModel, LinkTrace, Protocol, SimConfig, Simulation, SyncPath,
-    SyncStrategy,
+    AdmissionConfig, ConnectivityModel, LinkTrace, Protocol, SimConfig, Simulation, SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -44,7 +43,6 @@ fn config(workload_seed: u64) -> SimConfig {
             ..ScenarioParams::default()
         },
         base_capacity: 120.0,
-        sync_path: SyncPath::Session,
         ..SimConfig::default()
     }
 }

@@ -25,7 +25,7 @@ use histmerge::obs::{dump_on_failure, FlightRecorder, TracerHandle};
 use histmerge::replication::wal::StorageOp;
 use histmerge::replication::{
     recover, DurabilityConfig, DurableReport, FaultPlan, FaultRates, Protocol, Recovered,
-    RecoveryError, SimConfig, Simulation, SyncPath, SyncStrategy, Tear, TornStorage,
+    RecoveryError, SimConfig, Simulation, SyncStrategy, Tear, TornStorage,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -53,7 +53,6 @@ fn config(seed: u64, strategy: SyncStrategy, fault: FaultPlan) -> SimConfig {
             ..ScenarioParams::default()
         },
         base_capacity: 120.0,
-        sync_path: SyncPath::Session,
         fault,
         check_convergence: true,
         durability: DurabilityConfig { enabled: true, checkpoint_every: 64 },

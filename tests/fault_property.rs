@@ -7,8 +7,8 @@
 //!    through the serial path reproduces the final master;
 //! 2. duplicated messages never double-install (session-ledger
 //!    idempotence);
-//! 3. a fault plan whose rates are all zero reproduces the legacy path
-//!    byte-for-byte, whatever its seed.
+//! 3. a fault plan whose rates are all zero reproduces the
+//!    `FaultPlan::none()` run byte-for-byte, whatever its seed.
 //!
 //! The deterministic seed-matrix test at the bottom sweeps every fault
 //! kind x strategy; `FAULT_SEEDS` scales the number of schedules per cell
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use histmerge::obs::{dump_on_failure, FlightRecorder};
 use histmerge::replication::{
     AdmissionConfig, ConnectivityModel, FaultKind, FaultPlan, FaultRates, FaultStats, Protocol,
-    RetryBackoff, SimConfig, Simulation, SyncPath, SyncStrategy,
+    RetryBackoff, SimConfig, Simulation, SyncStrategy,
 };
 use histmerge::workload::canned_mix::{CannedFlavor, CannedMixParams};
 use histmerge::workload::generator::ScenarioParams;
@@ -51,7 +51,6 @@ fn config(workload_seed: u64, strategy: SyncStrategy, fault: FaultPlan) -> SimCo
             ..ScenarioParams::default()
         },
         base_capacity: 120.0,
-        sync_path: SyncPath::Session,
         fault,
         check_convergence: true,
         ..SimConfig::default()
@@ -101,8 +100,9 @@ proptest! {
         prop_assert_eq!(&faulted.metrics.records, &clean.metrics.records);
     }
 
-    /// An all-zero-rate plan is inert whatever its seed: the session path
-    /// reproduces today's legacy reports byte-for-byte.
+    /// An all-zero-rate plan is inert whatever its seed: it reproduces
+    /// the `FaultPlan::none()` run's reports byte-for-byte. (The name
+    /// dates from when that reference run took a separate sync path.)
     #[test]
     fn zero_rate_plans_reproduce_legacy_reports(
         seed in 0u64..10_000,
@@ -113,15 +113,14 @@ proptest! {
         let fault = FaultPlan::seeded(fault_seed, FaultRates::zero());
         let session = Simulation::new(config(seed, strategy, fault)).expect("valid sim config").run();
 
-        let mut legacy_config = config(seed, strategy, FaultPlan::none());
-        legacy_config.sync_path = SyncPath::Legacy;
-        legacy_config.check_convergence = false;
-        let legacy = Simulation::new(legacy_config).expect("valid sim config").run();
+        let mut plain_config = config(seed, strategy, FaultPlan::none());
+        plain_config.check_convergence = false;
+        let plain = Simulation::new(plain_config).expect("valid sim config").run();
 
-        prop_assert_eq!(&session.final_master, &legacy.final_master);
-        prop_assert_eq!(session.base_commits, legacy.base_commits);
-        prop_assert_eq!(&session.cluster, &legacy.cluster);
-        prop_assert_eq!(session.metrics.normalized(), legacy.metrics.normalized());
+        prop_assert_eq!(&session.final_master, &plain.final_master);
+        prop_assert_eq!(session.base_commits, plain.base_commits);
+        prop_assert_eq!(&session.cluster, &plain.cluster);
+        prop_assert_eq!(session.metrics.normalized(), plain.metrics.normalized());
         prop_assert_eq!(session.metrics.fault, FaultStats::default());
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use histmerge::obs::{dump_on_failure, validate_json_line, FlightRecorder, TracerHandle};
 use histmerge::replication::{
-    FaultPlan, FaultRates, Protocol, SimConfig, Simulation, SyncPath, SyncStrategy,
+    FaultPlan, FaultRates, Protocol, SimConfig, Simulation, SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -22,7 +22,6 @@ fn traced_config(tracer: TracerHandle) -> SimConfig {
         protocol: Protocol::merging_default(),
         strategy: SyncStrategy::WindowStart { window: 150 },
         workload: ScenarioParams { n_vars: 64, seed: 11, ..ScenarioParams::default() },
-        sync_path: SyncPath::Session,
         fault: FaultPlan::seeded(11, FaultRates::uniform(0.05)),
         check_convergence: true,
         tracer,

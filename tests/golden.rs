@@ -15,8 +15,8 @@
 //! Durability is observation-only, so the test also asserts that the
 //! durable run's projection equals the plain run's.
 //!
-//! Scenarios: every `session_differential` scenario under both sync
-//! paths, the `cohort_differential` shapes (protocol x strategy x cohort
+//! Scenarios: every `session_differential` scenario, the
+//! `cohort_differential` shapes (protocol x strategy x cohort
 //! size, plus its session-path and mechanism-engagement shapes and its
 //! fault row) at fixed seeds, the `fault_property` fault-matrix and
 //! storm rows at their default debug seeds, and the `crash_recovery`
@@ -24,12 +24,13 @@
 //! seeds 0-1. Every scenario pins its worker count, so the speculative
 //! counters do not depend on the host's CPUs.
 //!
-//! The digests were recorded while the simulator still carried four
-//! mechanism knobs whose arms had to produce identical output (a per-tick
-//! fleet scan beside the event queue, merge-scratch reuse, a pre-wave
-//! cohort pipeline, and a hand-set lean base log); every arm of every knob
-//! hashed to the committed digest. With the slow arms gone, the committed
-//! bytes are the oracle for the one remaining path.
+//! The digests were recorded while the simulator still carried five
+//! knobs whose arms had to produce identical output (a per-tick fleet
+//! scan beside the event queue, merge-scratch reuse, a pre-wave cohort
+//! pipeline, a hand-set lean base log, and an atomic reconnection
+//! handshake beside the session protocol); every arm of every knob hashed
+//! to the committed digest. With those arms gone, the committed bytes are
+//! the oracle for the one remaining path.
 //!
 //! When a change is meant to alter behaviour, the failure message prints
 //! the freshly computed file; review the listed scenarios and commit it.
@@ -38,7 +39,7 @@ use std::fmt::Write as _;
 
 use histmerge::replication::{
     AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultKind, FaultPlan, FaultRates,
-    Parallelism, Protocol, RetryBackoff, SimConfig, SimReport, Simulation, SyncPath, SyncStrategy,
+    Parallelism, Protocol, RetryBackoff, SimConfig, SimReport, Simulation, SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -254,7 +255,6 @@ fn fault_scenario(seed: u64, strategy: SyncStrategy, fault: FaultPlan) -> SimCon
             ..ScenarioParams::default()
         },
         base_capacity: 120.0,
-        sync_path: SyncPath::Session,
         fault,
         ..SimConfig::default()
     }
@@ -283,7 +283,6 @@ fn crash_scenario(seed: u64, strategy: SyncStrategy, fault: FaultPlan) -> SimCon
             ..ScenarioParams::default()
         },
         base_capacity: 120.0,
-        sync_path: SyncPath::Session,
         fault,
         ..SimConfig::default()
     }
@@ -322,11 +321,7 @@ fn scenarios() -> Vec<(String, SimConfig)> {
         session.push((format!("tradeoff/{}", strategy.name()), c));
     }
     for (name, config) in session {
-        for (path_name, path) in [("legacy", SyncPath::Legacy), ("session", SyncPath::Session)] {
-            let mut c = config.clone();
-            c.sync_path = path;
-            out.push((format!("session-diff/{name}/{path_name}"), c));
-        }
+        out.push((format!("session-diff/{name}/session"), config));
     }
 
     // cohort_differential: protocol x strategy x cohort size.
@@ -347,14 +342,13 @@ fn scenarios() -> Vec<(String, SimConfig)> {
         }
     }
     for n_mobiles in [3usize, 7] {
-        let mut c = cohort_scenario(
+        let c = cohort_scenario(
             Protocol::merging_default(),
             SyncStrategy::WindowStart { window: 120 },
             n_mobiles,
             400 + n_mobiles as u64,
             0.6,
         );
-        c.sync_path = SyncPath::Session;
         out.push((format!("cohort/session/x{n_mobiles}"), c));
     }
     let hot = cohort_scenario(
@@ -387,7 +381,6 @@ fn scenarios() -> Vec<(String, SimConfig)> {
                 900 + s,
                 0.6,
             );
-            c.sync_path = SyncPath::Session;
             c.fault = FaultPlan::seeded(7000 + s, FaultRates::only(kind, rate));
             c.admission = AdmissionConfig::bounded(3);
             out.push((format!("cohort-faults/{}/seed{s}", kind.name()), c));

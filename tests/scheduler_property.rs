@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use histmerge::replication::{
     fork_rng, Event, EventKind, EventQueue, FaultPlan, FaultRates, Protocol, SimConfig, Simulation,
-    SyncPath, SyncStrategy,
+    SyncStrategy,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -109,20 +109,15 @@ proptest! {
         seed in 0u64..2000,
         fault_seed in 0u64..2000,
     ) {
-        let quiet = sim_config(seed);
-        let mut faulted = quiet.clone();
-        faulted.sync_path = SyncPath::Session;
-        faulted.fault = FaultPlan::seeded(fault_seed, FaultRates::zero());
-        let mut clean = quiet.clone();
-        clean.sync_path = SyncPath::Session;
+        let mut clean = sim_config(seed);
         clean.fault = FaultPlan::none();
-        let quiet = Simulation::new(quiet).expect("valid sim config").run();
+        let mut faulted = clean.clone();
+        faulted.fault = FaultPlan::seeded(fault_seed, FaultRates::zero());
         let faulted = Simulation::new(faulted).expect("valid sim config").run();
         let clean = Simulation::new(clean).expect("valid sim config").run();
-        prop_assert_eq!(&faulted.final_master, &quiet.final_master);
-        prop_assert_eq!(&clean.final_master, &quiet.final_master);
+        prop_assert_eq!(&faulted.final_master, &clean.final_master);
         prop_assert_eq!(faulted.metrics.normalized(), clean.metrics.normalized());
-        prop_assert_eq!(faulted.base_commits, quiet.base_commits);
+        prop_assert_eq!(faulted.base_commits, clean.base_commits);
     }
 
     /// `fork_rng` forks are a pure function of the base stream's position:

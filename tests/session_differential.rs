@@ -1,39 +1,40 @@
-//! Differential test of the resumable session path and of every
-//! observation-only layer: every simulation scenario from
-//! `tests/simulation.rs` runs six ways, and all of them must agree
-//! byte-for-byte — same final master, same commit counts, same per-sync
-//! records, same cost totals. `Metrics::normalized` exempts only wall
-//! time (`parallel_merge_ns`, each record's `sync_ns`) and the mechanism
-//! and volume blocks (`sched`, `cohort`, `wal`).
+//! Differential test of every observation-only layer of the session
+//! path: every simulation scenario from `tests/simulation.rs` runs five
+//! ways, and all of them must agree byte-for-byte — same final master,
+//! same commit counts, same per-sync records, same cost totals.
+//! `Metrics::normalized` exempts only wall time (`parallel_merge_ns`,
+//! each record's `sync_ns`) and the mechanism and volume blocks (`sched`,
+//! `cohort`, `wal`).
 //!
-//! 1. The reference: the legacy atomic handshake (`SyncPath::Legacy`).
-//! 2. The resumable session path with `FaultPlan::none()`.
-//! 3. The session path with durability enabled: write-ahead logging is
+//! 1. The reference: the session path with `FaultPlan::none()`.
+//! 2. The same run with durability enabled: write-ahead logging is
 //!    observation-only.
-//! 4. The session path with a flight-recorder ring tracer attached:
-//!    tracing is observation-only.
-//! 5. The structured connectivity layer spelled out: an explicit
+//! 3. The same run with a flight-recorder ring tracer attached: tracing
+//!    is observation-only.
+//! 4. The structured connectivity layer spelled out: an explicit
 //!    `ConnectivityModel::AlwaysOn` with unbounded admission AND a
 //!    saturated duty cycle (`on_ticks == period`, exercising the
 //!    non-trivial trace arithmetic) must both be the identity — the model
 //!    adjusts schedules *after* the cadence draws, it never consumes or
 //!    adds randomness.
-//! 6. Full fleet telemetry (the per-tick time-series collector plus merge
+//! 5. Full fleet telemetry (the per-tick time-series collector plus merge
 //!    autopsies, on top of the flight-recorder ring): telemetry reads
 //!    simulation state after the fact, so the fully instrumented run must
 //!    hold to the same bar while the series fills and every sync closes an
 //!    autopsy.
 //!
-//! The scheduler, the cohort install pipeline and the lean base log have
-//! one path each; their behaviour is pinned by the committed digests of
-//! `tests/golden.rs`, which cover these scenarios too.
+//! The reconnection protocol, the scheduler, the cohort install pipeline
+//! and the lean base log have one path each; their behaviour is pinned by
+//! the committed digests of `tests/golden.rs`, which cover these
+//! scenarios too. The test names keep their `matches_legacy` suffix from
+//! when the reference run took a separate atomic sync path.
 
 use std::sync::Arc;
 
 use histmerge::obs::{FlightRecorder, TimeSeries, TracerHandle};
 use histmerge::replication::{
     AdmissionConfig, ConnectivityModel, DurabilityConfig, FaultPlan, FaultStats, Protocol,
-    SimConfig, SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
+    SimConfig, SimReport, Simulation, SyncStrategy, TelemetryConfig,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -65,22 +66,19 @@ fn config(protocol: Protocol, seed: u64) -> SimConfig {
     }
 }
 
-/// Runs `config` through both paths — and the session path again with
+/// Runs `config` fault-free as the reference — and again with
 /// durability enabled, with a flight-recorder ring attached, with
 /// explicit connectivity defaults, and with full fleet
 /// telemetry (time-series + autopsies) — and asserts the reports are
 /// identical.
-fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
-    config.sync_path = SyncPath::Legacy;
-    let legacy = Simulation::new(config.clone()).expect("valid sim config").run();
-    config.sync_path = SyncPath::Session;
+fn assert_runs_agree(mut config: SimConfig, label: &str) -> SimReport {
     config.fault = FaultPlan::none();
     config.check_convergence = true;
     let session = Simulation::new(config.clone()).expect("valid sim config").run();
     let mut durable_config = config.clone();
     durable_config.durability = DurabilityConfig { enabled: true, checkpoint_every: 96 };
     let durable = Simulation::new(durable_config).expect("valid sim config").run();
-    // Fifth run: the structured connectivity layer spelled out
+    // Fourth run: the structured connectivity layer spelled out
     // explicitly — AlwaysOn + unbounded admission (the defaults, made
     // loud) and a saturated duty cycle whose every `next_up` is the
     // identity. Neither may move a single byte.
@@ -92,7 +90,7 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
     saturated_config.connectivity =
         ConnectivityModel::DutyCycle { period: 16, on_ticks: 16, seed: 1717 };
     let saturated = Simulation::new(saturated_config).expect("valid sim config").run();
-    // Sixth run: the full fleet telemetry — per-tick time-series
+    // Fifth run: the full fleet telemetry — per-tick time-series
     // collection and merge autopsies on top of the flight-recorder ring.
     // Telemetry reads simulation state after the fact, so the fully
     // instrumented run must stay byte-identical too.
@@ -118,7 +116,7 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
             );
         }
     }
-    // Fourth run: same session config with the flight recorder listening.
+    // Third run: same config with the flight recorder listening.
     // Tracing is observation-only, so `normalized()` must stay
     // byte-identical to the untraced runs.
     let ring = FlightRecorder::handle(4096);
@@ -129,8 +127,13 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
         "{label}: the traced run recorded nothing"
     );
 
+    let session_convergence = session.convergence.expect("session run checked convergence");
+    assert!(
+        session_convergence.holds(),
+        "{label}/session: convergence oracle failed: {session_convergence:?}"
+    );
+    assert_eq!(session.metrics.fault, FaultStats::default(), "{label}/session: phantom faults");
     for (candidate, path) in [
-        (&session, "session"),
         (&durable, "session+wal"),
         (&traced, "session+trace"),
         (&explicit, "session+always-on"),
@@ -138,18 +141,18 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
         (&instrumented, "session+telemetry"),
     ] {
         assert_eq!(
-            legacy.final_master, candidate.final_master,
+            session.final_master, candidate.final_master,
             "{label}/{path}: master state diverged"
         );
         assert_eq!(
-            legacy.base_commits, candidate.base_commits,
+            session.base_commits, candidate.base_commits,
             "{label}/{path}: commit count diverged"
         );
-        assert_eq!(legacy.cluster, candidate.cluster, "{label}/{path}: cluster stats diverged");
+        assert_eq!(session.cluster, candidate.cluster, "{label}/{path}: cluster stats diverged");
         // Covers every counter, cost total, and the full per-sync record
         // list.
         assert_eq!(
-            legacy.metrics.normalized(),
+            session.metrics.normalized(),
             candidate.metrics.normalized(),
             "{label}/{path}: metrics diverged"
         );
@@ -173,7 +176,7 @@ fn assert_paths_agree(mut config: SimConfig, label: &str) -> SimReport {
 #[test]
 fn accounting_identity_scenario_matches_legacy() {
     for protocol in [Protocol::Reprocessing, Protocol::merging_default()] {
-        let report = assert_paths_agree(config(protocol, 5), protocol.name());
+        let report = assert_runs_agree(config(protocol, 5), protocol.name());
         let m = &report.metrics;
         let resolved = m.saved + m.backed_out + m.reprocessed;
         assert!(resolved <= m.tentative_generated);
@@ -185,8 +188,8 @@ fn accounting_identity_scenario_matches_legacy() {
 
 #[test]
 fn merging_scenario_matches_legacy_and_stays_deterministic() {
-    let a = assert_paths_agree(config(Protocol::merging_default(), 6), "merging seed 6");
-    let b = assert_paths_agree(config(Protocol::merging_default(), 6), "merging seed 6 again");
+    let a = assert_runs_agree(config(Protocol::merging_default(), 6), "merging seed 6");
+    let b = assert_runs_agree(config(Protocol::merging_default(), 6), "merging seed 6 again");
     assert_eq!(a.final_master, b.final_master);
     assert!(a.metrics.saved > 0, "merging engaged through the session path");
 }
@@ -194,7 +197,7 @@ fn merging_scenario_matches_legacy_and_stays_deterministic() {
 #[test]
 fn convergence_scenario_matches_legacy() {
     for protocol in [Protocol::Reprocessing, Protocol::merging_default()] {
-        let report = assert_paths_agree(config(protocol, 7), protocol.name());
+        let report = assert_runs_agree(config(protocol, 7), protocol.name());
         for r in &report.metrics.records {
             assert!(r.pending > 0, "empty syncs are not recorded");
         }
@@ -207,7 +210,7 @@ fn scaleup_scenario_matches_legacy_at_both_fleet_sizes() {
         for protocol in [Protocol::Reprocessing, Protocol::merging_default()] {
             let mut c = config(protocol, 8);
             c.n_mobiles = n_mobiles;
-            assert_paths_agree(c, &format!("{} x{n_mobiles}", protocol.name()));
+            assert_runs_agree(c, &format!("{} x{n_mobiles}", protocol.name()));
         }
     }
 }
@@ -218,15 +221,15 @@ fn strategy_tradeoff_scenario_matches_legacy_under_both_strategies() {
     c1.strategy = SyncStrategy::PerDisconnectSnapshot;
     c1.workload.hot_prob = 0.8;
     c1.n_mobiles = 6;
-    let s1 = assert_paths_agree(c1, "strategy1");
+    let s1 = assert_runs_agree(c1, "strategy1");
 
     let mut c2 = config(Protocol::merging_default(), 9);
     c2.strategy = SyncStrategy::WindowStart { window: 100 };
     c2.workload.hot_prob = 0.8;
     c2.n_mobiles = 6;
-    let s2 = assert_paths_agree(c2, "strategy2");
+    let s2 = assert_runs_agree(c2, "strategy2");
 
-    // The documented trade-offs survive the path switch.
+    // The documented trade-offs hold in every run.
     assert_eq!(s2.metrics.merge_failures, 0);
     assert_eq!(s1.metrics.window_misses, 0);
 }

@@ -11,7 +11,7 @@ use histmerge::obs::{
     TracerHandle,
 };
 use histmerge::replication::{
-    FaultPlan, Protocol, SimConfig, SimReport, Simulation, SyncPath, SyncStrategy, TelemetryConfig,
+    FaultPlan, Protocol, SimConfig, SimReport, Simulation, SyncStrategy, TelemetryConfig,
 };
 use histmerge::workload::generator::ScenarioParams;
 
@@ -194,7 +194,6 @@ fn telemetry_run() -> (SimReport, Arc<TimeSeries>, Arc<FlightRecorder>) {
         protocol: Protocol::merging_default(),
         strategy: SyncStrategy::WindowStart { window: 120 },
         workload: ScenarioParams { n_vars: 48, seed: 23, ..ScenarioParams::default() },
-        sync_path: SyncPath::Session,
         fault: FaultPlan::none(),
         tracer: TracerHandle::new(recorder.clone()),
         telemetry: TelemetryConfig { series: Some(series.clone()), autopsy: true },
